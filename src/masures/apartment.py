@@ -511,10 +511,6 @@ def feasible(enclosed: EnclosedSet) -> Vector | None:
     return enclosed.sample_point()
 
 
-def enclosed_contains(enclosed: EnclosedSet, v: Sequence) -> bool:
-    return enclosed.contains(v)
-
-
 def enclosed_equal(first: EnclosedSet, second: EnclosedSet) -> bool:
     """Same point set, regardless of presentation."""
     return first == second

@@ -274,7 +274,8 @@ def _build_model(config: dict):
     raise _CliError("BadConfig", f"unknown model kind {kind!r}")
 
 
-def _fill_config(raw: dict) -> dict:
+def _fill_config(raw: dict):
+    """The config with defaults filled in, and the model it describes."""
     config = dict(raw)
     kind = config.get("model")
     if kind not in ("tree", "sl3"):
@@ -293,7 +294,7 @@ def _fill_config(raw: dict) -> dict:
     model = _build_model(config)
     config.setdefault("height_bound", model.root_height_bound)
     config.setdefault("length_bound", model.weyl_length_bound)
-    return config
+    return config, model
 
 
 def _draw_segment(rng: random.Random, dim: int, radius: int):
@@ -334,8 +335,7 @@ def _retraction_trial(model, rng: random.Random, apartment, config: dict) -> dic
 
 def run_campaign(raw_config: dict) -> dict:
     """One full verify-theorem run; pure function of the config."""
-    config = _fill_config(raw_config)
-    model = _build_model(config)
+    config, model = _fill_config(raw_config)
     trials = []
     counts = {"pass": 0, "fail": 0, "inconclusive": 0, "window_retries": 0}
     for index in range(config["trials"]):

@@ -582,14 +582,6 @@ def tits_preorder(
     return UNKNOWN
 
 
-def implies_le(result: str) -> bool:
-    return result in (EQ, LE, LE_STRICT_INTERIOR)
-
-
-def implies_ge(result: str) -> bool:
-    return result in (EQ, GE, GE_STRICT_INTERIOR)
-
-
 def dominance_compare(rgs: RootGeneratingSystem, x: Vector, y: Vector) -> str:
     """Compare in the coroot cone: x <= y iff y - x is a nonnegative
     rational combination of the simple coroots (unique by freeness)."""
@@ -616,35 +608,3 @@ def coroot_coordinates(rgs: RootGeneratingSystem, v: Vector) -> Vector | None:
     if sol is None or linalg.vecmat(sol, rgs.simple_coroots) != v:
         return None
     return sol
-
-
-# -- vectorial faces and chambers -------------------------------------------
-
-
-@dataclass(frozen=True)
-class VectorialFace:
-    """w . F(J) up to sign: the cone where alpha_i vanishes on J and is
-    positive off J, pushed around by w."""
-
-    weyl: WeylElement
-    zero_set: frozenset[int]
-    sign: int
-
-    def contains(self, v: Vector) -> bool:
-        rgs = self.weyl.rgs
-        u = linalg.scale(self.sign, self.weyl.inverse().act(v))
-        for i in range(rgs.size):
-            value = rgs.root_value(i, u)
-            if i in self.zero_set:
-                if value != 0:
-                    return False
-            elif value <= 0:
-                return False
-        return True
-
-
-def fundamental_chamber_contains(rgs: RootGeneratingSystem, v: Vector, closed: bool = True) -> bool:
-    values = [rgs.root_value(i, v) for i in range(rgs.size)]
-    if closed:
-        return all(x >= 0 for x in values)
-    return all(x > 0 for x in values)

@@ -7,7 +7,11 @@ generic over that interface: retracting a segment into a piecewise-linear
 path, sampling the intersection of an apartment with the standard one, and
 `check_MA2`, which verifies on a window of special points that the
 intersection of two apartments is enclosed, convex, and carried one chart
-to the other by an element of the affine Weyl group.
+to the other by an element of the affine Weyl group.  Convexity is read
+off the enclosure fit: the fit is an intersection of half-apartments, so
+it is convex and holds every member, and a sample it separates from the
+non-members is convex too.  A convexity witness is searched for only
+among the non-members inside the fit, that is, only when the fit fails.
 
 All verification is windowed: a verdict certifies the window, nothing
 beyond it.  When the window cannot tell the intersection apart from a
@@ -161,34 +165,50 @@ def intersect_with_standard(
     """Sampled intersection with the standard apartment, and its fit.
 
     Returns the special points of the window lying in both apartments, the
-    smallest enclosed set containing them, and whether that enclosure was
-    computed from a saturated root enumeration.  A sampled non-member
-    inside the fitted set would contradict enclosedness of the
-    intersection, so it is treated as a hard error here.
-
-    The raw enclosure of a windowed sample is clipped by the window
-    itself; a half-apartment that excludes no sampled non-member (given
-    the rest) only records that clipping, so it is pruned.  What remains
-    separates the members from every sampled non-member.
+    same pruned fit that `check_MA2` reads enclosedness and convexity off,
+    and whether that fit was computed from a saturated root enumeration.
+    A sampled non-member inside the fit would contradict enclosedness of
+    the intersection, so it is treated as a hard error here.  Pruning
+    never admits a non-member, so checking after it finds the same ones.
     """
     rgs = model.rgs
-    std = model.standard_apartment()
-    hits = []
-    misses = []
-    for v in model.special_points(window_radius):
-        point = model.chart(std, v)
-        if model.apartment_coords(apartment, point) is not None:
-            hits.append(v)
-        else:
-            misses.append(v)
-    if not hits:
+    _, pairs, misses = _sample(model, model.standard_apartment(), apartment, window_radius)
+    if not pairs:
         return ((), empty_set(rgs), True)
-    fitted = enclosure_of(rgs, hits, model.root_height_bound)
+    hits = tuple(v for v, _ in pairs)
+    fitted = _fit(model, hits, misses, identical=False)
     for v in misses:
         if fitted.contains(v):
             raise MasureError(f"non-member {v!r} inside the fitted enclosure")
-    fitted = _prune_window_clip(rgs, fitted, misses)
-    return (tuple(hits), fitted, fitted.exact)
+    return (hits, fitted, fitted.exact)
+
+
+def _sample(
+    model: MasureModel, first, second, window_radius: int
+) -> tuple[tuple[Vector, ...], list[tuple[Vector, Vector]], list[Vector]]:
+    """The window's special points charted through `first`, split into
+    (coordinates, coordinates in `second`) pairs and non-members."""
+    specials = model.special_points(window_radius)
+    pairs = []
+    misses = []
+    for v in specials:
+        y = model.apartment_coords(second, model.chart(first, v))
+        if y is None:
+            misses.append(v)
+        else:
+            pairs.append((v, y))
+    return specials, pairs, misses
+
+
+def _fit(
+    model: MasureModel, hits: Sequence[Vector], misses: Sequence[Vector], identical: bool
+) -> EnclosedSet:
+    """Enclosure of the hits, or the whole apartment when the two
+    apartments are equal as sets, less the halves that only record the
+    window's clipping."""
+    rgs = model.rgs
+    fitted = whole_apartment(rgs) if identical else enclosure_of(rgs, hits, model.root_height_bound)
+    return _prune_window_clip(rgs, fitted, misses)
 
 
 def _prune_window_clip(
@@ -281,24 +301,17 @@ def check_MA2(
     and tested for membership in the second.  The sampled intersection
     must be exactly an enclosed set (no non-member inside the fit), convex
     on the sample, and some affine Weyl element must carry the first chart
-    to the second on every sampled point.  An empty sample passes with an
+    to the second on every sampled point.  Convexity follows from the fit:
+    a non-member strictly between two members lies in the convex fit, so
+    the witness for a convexity FAIL is searched for only among the
+    non-members inside the fit.  An empty sample passes with an
     empty certificate.  When the sample touches the window boundary in
     every root direction (and the apartments are not equal as sets), no
     windowed verdict is defensible and WindowTooSmall is raised.
     """
     rgs = model.rgs
-    specials = model.special_points(window_radius)
     identical = model.same_apartment(first, second)
-
-    pairs = []
-    misses = []
-    for v in specials:
-        point = model.chart(first, v)
-        y = model.apartment_coords(second, point)
-        if y is None:
-            misses.append(v)
-        else:
-            pairs.append((v, y))
+    specials, pairs, misses = _sample(model, first, second, window_radius)
 
     if not pairs:
         checks = (
@@ -321,11 +334,8 @@ def check_MA2(
             f"intersection fills the window of radius {window_radius} in every direction"
         )
 
-    fitted = whole_apartment(rgs) if identical else enclosure_of(rgs, xs, model.root_height_bound)
-    fitted = _prune_window_clip(rgs, fitted, misses)
+    fitted = _fit(model, xs, misses, identical)
     fit_bad = [v for v in misses if fitted.contains(v)]
-    if identical and misses:
-        fit_bad.extend(misses)
     enclosure_check = CheckOutcome(
         "enclosure-fit",
         FAIL if fit_bad else PASS,
@@ -333,15 +343,16 @@ def check_MA2(
         f"{len(xs)} members match the fit on {len(specials)} sampled points",
     )
 
-    convex_bad = []
-    for v in misses:
+    convex_bad = None
+    for v in fit_bad:
         witness = _between_hits(v, xs)
         if witness is not None:
-            convex_bad.append((v, witness))
+            convex_bad = (v, witness)
+            break
     convexity_check = CheckOutcome(
         "convexity",
         FAIL if convex_bad else PASS,
-        f"non-member {convex_bad[0][0]!r} between members {convex_bad[0][1]!r}"
+        f"non-member {convex_bad[0]!r} between members {convex_bad[1]!r}"
         if convex_bad else "no sampled segment leaves the intersection",
     )
 

@@ -163,11 +163,6 @@ def mul(x: Laurent, y: Laurent) -> Laurent:
     return Laurent(f, x.val_ + y.val_, out, known)
 
 
-def scalar_mul(c: int, x: Laurent) -> Laurent:
-    f = x.field
-    return Laurent(f, x.val_ or 0, tuple(f.mul(c, a) for a in x.coeffs), x.known_to)
-
-
 def inverse(x: Laurent, precision: int) -> Laurent:
     """1/x.  Exact for a monomial; otherwise the result is known to
     `precision` orders past its valuation (less if x was inexact)."""

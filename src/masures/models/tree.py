@@ -34,13 +34,6 @@ def _tree_rgs() -> RootGeneratingSystem:
     return realization(validate_matrix([[2]]), coroots=[(2,)], forms=[(1,)])
 
 
-def _validate_word(q: int, word: Word) -> None:
-    for i, letter in enumerate(word):
-        low = 0 if i == 0 else 1
-        if not low <= letter <= q:
-            raise MasureError(f"letter {letter} invalid at position {i} of {word!r}")
-
-
 @dataclass(frozen=True)
 class TreeEnd:
     """Ray class `prefix` then `repeat` forever; the prefix never ends in

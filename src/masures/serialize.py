@@ -13,7 +13,7 @@ import json
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .apartment import AffineWeylElement, EnclosedSet, HalfApartment, Wall
+from .apartment import AffineWeylElement, EnclosedSet, HalfApartment
 from .errors import MasureError
 from .heckepath import BreakpointCheck, GrowthReport, PLPath
 from .kmcore import (
@@ -79,10 +79,6 @@ def root_from_json(rgs: RootGeneratingSystem, obj, height_bound: int) -> Root:
         if root.coords == coords:
             return root
     raise MasureError(f"no real root with coordinates {coords} within height {height_bound}")
-
-
-def wall_to_json(wall: Wall) -> dict:
-    return {"root": list(wall.root.coords), "level": wall.level}
 
 
 def half_to_json(half: HalfApartment) -> dict:

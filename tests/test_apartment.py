@@ -6,6 +6,7 @@ those frozen facts anchor the suite, and hypothesis covers the general
 properties of enclosures on A2.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -43,6 +44,7 @@ from masures.kmcore import (
     weyl_identity,
     weyl_word,
 )
+from masures.models.base import _between_hits, _prune_window_clip
 
 A1 = default_realization(validate_matrix([[2]]))
 A2 = default_realization(validate_matrix([[2, -1], [-1, 2]]))
@@ -196,6 +198,27 @@ class TestEnclosureOf:
             assert HalfApartment(root, level) in set(s.halves) or EnclosedSet(
                 A2, set(s.halves) | {HalfApartment(root, level)}
             ) == s
+
+    @pytest.mark.parametrize(
+        "matrix", [[[2, -1], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]]
+    )
+    def test_pruned_fit_holds_every_miss_between_hits(self, matrix):
+        """Each half of the fit holds every hit and pruning only drops
+        halves, so the pruned fit is convex and holds every hit.  `check_MA2`
+        searches for a convexity witness only inside the fit on that basis."""
+        rgs = default_realization(validate_matrix(matrix))
+        grid = [(Q(x), Q(y)) for x in range(-3, 4) for y in range(-3, 4)]
+        rng = random.Random(5)
+        witnessed = 0
+        for _ in range(50):
+            hits = rng.sample(grid, rng.randrange(1, len(grid)))
+            misses = [v for v in grid if v not in hits]
+            fitted = _prune_window_clip(rgs, enclosure_of(rgs, hits, 6), misses)
+            for v in misses:
+                if _between_hits(v, hits) is not None:
+                    witnessed += 1
+                    assert fitted.contains(v)
+        assert witnessed > 0
 
 
 # -- wall crossings ------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from masures.apartment import HalfApartment, minus_infinity, plus_infinity
 from masures.errors import DegenerateSegment, MasureError, WindowTooSmall
-from masures.heckepath import PASS
+from masures.heckepath import FAIL, PASS
 from masures.kmcore import simple_root
 from masures.models import (
     TreeApartment,
@@ -340,3 +340,38 @@ class TestCheckMA2:
                 except WindowTooSmall:
                     window *= 2
             assert report.verdict == PASS
+
+    @pytest.mark.parametrize(
+        "target, fit_detail, convexity_detail",
+        [
+            (
+                TreeApartment(TreeEnd((2,), 1), STD.plus),
+                "non-member (Fraction(3, 1),) inside the fitted set",
+                "non-member (Fraction(3, 1),) between members "
+                "((Fraction(1, 1),), (Fraction(4, 1),))",
+            ),
+            (
+                STD,
+                "non-member (Fraction(0, 1),) inside the fitted set",
+                "non-member (Fraction(0, 1),) between members "
+                "((Fraction(-8, 1),), (Fraction(1, 1),))",
+            ),
+        ],
+    )
+    def test_planted_non_convex_sample_fails(self, target, fit_detail, convexity_detail):
+        """A model that drops coordinates 0 and 3 from one apartment makes
+        its sampled intersection with the standard one non-convex; both the
+        fit and the convexity check must FAIL with a certificate."""
+
+        class Punctured(TreeModel):
+            def apartment_coords(self, apartment, point):
+                y = super().apartment_coords(apartment, point)
+                if apartment == target and y in ((Q(0),), (Q(3),)):
+                    return None
+                return y
+
+        report = check_MA2(Punctured(q=2), STD, target, 8)
+        assert report.verdict == FAIL
+        checks = {c.name: c for c in report.checks}
+        assert (checks["enclosure-fit"].verdict, checks["enclosure-fit"].detail) == (FAIL, fit_detail)
+        assert (checks["convexity"].verdict, checks["convexity"].detail) == (FAIL, convexity_detail)
