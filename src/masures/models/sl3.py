@@ -14,15 +14,26 @@ group W^v x Q^vee rather than its type-rotating extension.
 Apartment coordinates live in the realization of the A2 matrix; a point x
 has alpha_1(x) = lam1 - lam2 and alpha_2(x) = lam2 - lam3, both integers
 exactly at the special points.  Non-special points are barycenters of the
-corners of their alcove, stored as (lattice class, weight) pairs.
+corners of their alcove; a point keeps the apartment it was charted
+through and, for each corner, the coweight lam of its lattice class and
+its barycentric weight.
 
-All lattice computations reduce a matrix to its triangular canonical form
-over F_q[[t]]: monomial pivots, one per row, entries below them reduced
-modulo the pivot.  Row order (0,1,2) gives the lower form whose pivot
-exponents read off the retraction from minus infinity; order (2,1,0)
-gives plus infinity.  Inputs are exact Laurent polynomials and every
-division is tracked, so a verdict either is exact or raises
-PrecisionExhausted; nothing is silently rounded.
+Membership and retraction are read exactly off valuations of minors of
+polynomial matrices, with no division.  A corner class L = g . diag(t^-lam)
+lies in the apartment of h iff the lattice of N = adj(h) . g . diag(t^-lam)
+is diagonal, that is iff the row minima of the entry valuations of N sum
+to val(det N); those row minima then give the class's coordinates in h.
+Triangularizing a matrix over F_q[[t]] in the row order (r0, r1, r2) gives
+pivot exponents whose partial sums are the least valuations of its minors
+on rows {r0}, {r0, r1} and all three rows; order (0,1,2) reads off the
+retraction from minus infinity and (2,1,0) that from plus infinity.
+Frames are exact Laurent polynomials, so each of these numbers is exact.
+
+Point equality alone uses the triangular canonical form: monomial pivots,
+one per row, entries below them reduced modulo the pivot.  It is computed
+over Laurent series with every division tracked, so it either is exact or
+raises PrecisionExhausted; nothing is silently rounded.  The precision
+budget bounds only that form, so it cannot change a campaign verdict.
 """
 
 from __future__ import annotations
@@ -215,34 +226,56 @@ def _triangularize(M: Matrix, precision: int, row_order: Sequence[int]) -> Trian
 # -- points and apartments -----------------------------------------------------
 
 
-class SL3Point:
-    """Barycenter of alcove corners: pairs (lattice class, weight).
+def _valuations(A: Matrix) -> tuple[tuple, ...]:
+    """Entry valuations of an exact matrix; math.inf for a zero entry."""
+    return tuple(tuple(e.val() for e in row) for row in A)
 
-    Equality and hashing use the canonical class keys and weights only;
-    representative matrices ride along for later membership tests.
+
+class SL3Point:
+    """Barycenter of alcove corners of one apartment's chart.
+
+    Each corner is a (lam, weight) pair standing for the class of
+    frame . diag(t^-lam).  Equality and hashing compare the canonical
+    triangular keys of the corner classes, with their weights; the keys
+    are built on first use, since charts, memberships and retractions only
+    read valuations of the frame.
     """
 
-    __slots__ = ("data", "reps")
+    __slots__ = ("apartment", "corners", "precision", "_data")
 
-    def __init__(self, corners):
-        corners = sorted(corners, key=lambda c: (c[1], c[0]))
-        self.data = tuple((key, weight) for key, weight, _ in corners)
-        self.reps = tuple(rep for _, _, rep in corners)
+    def __init__(self, apartment: SL3Apartment, corners, precision: int):
+        self.apartment = apartment
+        self.corners = tuple(corners)
+        self.precision = precision
+        self._data = None
+
+    def _key_data(self):
+        if self._data is None:
+            g = self.apartment.matrix
+            field = g[0][0].field
+            keyed = []
+            for lam, weight in self.corners:
+                M = _matmul(g, _diag(field, [-e for e in lam]))
+                keyed.append((_triangularize(M, self.precision, (0, 1, 2)).key(), weight))
+            self._data = tuple(sorted(keyed, key=lambda c: (c[1], c[0])))
+        return self._data
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SL3Point) and self.data == other.data
+        return isinstance(other, SL3Point) and self._key_data() == other._key_data()
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash(self._key_data())
 
     def __repr__(self) -> str:
-        return f"SL3Point({len(self.data)} corners)"
+        return f"SL3Point({len(self.corners)} corners)"
 
 
 class SL3Apartment:
-    """Frame matrix with exact polynomial entries, val(det) in 3Z."""
+    """Frame matrix with exact polynomial entries, val(det) in 3Z; keeps
+    its adjugate and the valuations of its entries, adjugate entries and
+    determinant."""
 
-    __slots__ = ("matrix", "_adj", "_det")
+    __slots__ = ("matrix", "_adj", "_vals", "_adj_vals", "_det_val")
 
     def __init__(self, matrix: Matrix):
         self.matrix = matrix
@@ -251,13 +284,41 @@ class SL3Apartment:
         det = _det(matrix)
         if det.is_exact_zero:
             raise MasureError("frame is singular")
-        if det.val() % 3 != 0:
+        self._det_val = det.val()
+        if self._det_val % 3 != 0:
             raise MasureError("frame determinant valuation must be divisible by 3")
         self._adj = _adjugate(matrix)
-        self._det = det
+        self._vals = _valuations(matrix)
+        self._adj_vals = _valuations(self._adj)
 
     def __repr__(self) -> str:
         return "SL3Apartment(...)"
+
+
+def _pivots(g: SL3Apartment, lam: Sequence[int], row_order: Sequence[int]) -> tuple[int, int, int]:
+    """Pivot exponents of the triangular form of g . diag(t^-lam) in the
+    given row order (r0, r1, r2), without forming it: their partial sums
+    are the least valuations of the minors on rows {r0}, {r0, r1} and all
+    rows, and the 2x2 minors on rows {r0, r1} are, up to sign, the
+    adjugate entries adj(g)[c][r2], one for each dropped column c."""
+    r0, r1, r2 = row_order
+    total = sum(lam)
+    top = min(g._adj_vals[c][r2] - (total - lam[c]) for c in range(3))
+    d = [0, 0, 0]
+    d[r0] = min(v - e for v, e in zip(g._vals[r0], lam))
+    d[r1] = top - d[r0]
+    d[r2] = g._det_val - total - top
+    return tuple(d)
+
+
+def _diagonal_exponents(vals, det_val: int, lam: Sequence[int]) -> list[int] | None:
+    """Exponents e with P . diag(t^-lam) O^3 = diag(t^e) O^3, or None when
+    that lattice is not diagonal; `vals` and `det_val` are the entry and
+    determinant valuations of P.  The lattice lies in the diagonal lattice
+    of its row minima with index val det minus their sum, so it is
+    diagonal exactly when that index is zero."""
+    d = [min(v - e for v, e in zip(row, lam)) for row in vals]
+    return d if sum(d) == det_val - sum(lam) else None
 
 
 def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
@@ -275,7 +336,8 @@ def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
 
 
 class SL3Model(MasureModel):
-    """SL3 over F_q((t)) with a fixed precision budget for divisions."""
+    """SL3 over F_q((t)); the precision budget bounds the divisions of the
+    canonical form that point equality uses."""
 
     name = "sl3"
 
@@ -284,6 +346,7 @@ class SL3Model(MasureModel):
         self.precision = precision
         self._rgs = _sl3_rgs()
         self._standard = SL3Apartment(_identity(self.field))
+        self._relative_memo = None
 
     @property
     def rgs(self) -> RootGeneratingSystem:
@@ -311,31 +374,31 @@ class SL3Model(MasureModel):
     def _from_alpha(self, a: Q, b: Q) -> Vector:
         return (Q(2 * a + b, 3), Q(a + 2 * b, 3))
 
-    def _corner_matrix(self, apartment: SL3Apartment, ca: int, cb: int) -> Matrix:
-        lam = (ca + cb, cb, 0)
-        return _matmul(apartment.matrix, _diag(self.field, [-e for e in lam]))
-
-    def _corner_key(self, M: Matrix):
-        return _triangularize(M, self.precision, (0, 1, 2)).key()
-
     def chart(self, apartment: SL3Apartment, coords: Sequence) -> SL3Point:
         a, b = self._alpha_values(coords)
-        corners = []
-        for ca, cb, w in _alcove_corners(a, b):
-            M = self._corner_matrix(apartment, ca, cb)
-            corners.append((self._corner_key(M), w, M))
-        return SL3Point(corners)
+        corners = [((ca + cb, cb, 0), w) for ca, cb, w in _alcove_corners(a, b)]
+        return SL3Point(apartment, corners, self.precision)
+
+    def _relative(self, h: SL3Apartment, g: SL3Apartment):
+        """Entry valuations of the relative frame adj(h) . g, and
+        val det(adj(h) . g) = 2 val det h + val det g.  The last pair asked
+        for is kept, since a window's points all share it."""
+        memo = self._relative_memo
+        if memo is None or memo[0] is not h or memo[1] is not g:
+            vals = _valuations(_matmul(h._adj, g.matrix))
+            memo = (h, g, vals, 2 * h._det_val + g._det_val)
+            self._relative_memo = memo
+        return memo[2], memo[3]
 
     def apartment_coords(self, apartment: SL3Apartment, point: SL3Point) -> Vector | None:
+        vals, det_val = self._relative(apartment, point.apartment)
         positions = []
-        for rep in point.reps:
-            N = _matmul(apartment._adj, rep)
-            form = _triangularize(N, self.precision, (0, 1, 2))
-            if not form.diagonal:
+        for lam, _ in point.corners:
+            d = _diagonal_exponents(vals, det_val, lam)
+            if d is None:
                 return None
-            d = form.pivots
             positions.append((d[1] - d[0], d[2] - d[1]))
-        weights = [w for _, w in point.data]
+        weights = [w for _, w in point.corners]
         a = sum((Q(p[0]) * w for p, w in zip(positions, weights)), Q(0))
         b = sum((Q(p[1]) * w for p, w in zip(positions, weights)), Q(0))
         # the corners of (a, b)'s alcove in this chart must be exactly the
@@ -352,9 +415,8 @@ class SL3Model(MasureModel):
         order = (0, 1, 2) if germ == minus_infinity(self._rgs) else (2, 1, 0)
         a = Q(0)
         b = Q(0)
-        for rep, (_, w) in zip(point.reps, point.data):
-            form = _triangularize(rep, self.precision, order)
-            d = form.pivots
+        for lam, w in point.corners:
+            d = _pivots(point.apartment, lam, order)
             a += w * (d[1] - d[0])
             b += w * (d[2] - d[1])
         return self._from_alpha(a, b)
@@ -368,14 +430,13 @@ class SL3Model(MasureModel):
         return tuple(out)
 
     def same_apartment(self, first: SL3Apartment, second: SL3Apartment) -> bool:
-        P = _matmul(first._adj, second.matrix)
-        for i in range(3):
-            if sum(1 for j in range(3) if not P[i][j].is_exact_zero) != 1:
-                return False
-        for j in range(3):
-            if sum(1 for i in range(3) if not P[i][j].is_exact_zero) != 1:
-                return False
-        return True
+        # adj(first) . second is monomial iff adj(second) . first is; asking
+        # in this order shares the relative frame that charting points of
+        # `first` into `second` reads
+        vals, _ = self._relative(second, first)
+        if any(sum(1 for v in row if v != math.inf) != 1 for row in vals):
+            return False
+        return all(sum(1 for row in vals if row[j] != math.inf) == 1 for j in range(3))
 
     def random_apartment(self, seed: int, complexity: int) -> SL3Apartment:
         rng = random.Random(seed)

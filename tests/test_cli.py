@@ -245,6 +245,16 @@ class TestVerifyTheorem:
         assert code == EXIT_OK
         assert summary["pass"] == 2
 
+    def test_sl3_campaign_does_not_spend_precision(self):
+        # membership and retraction are exact valuation readings, so a
+        # tiny division budget gives the same campaign as the default one
+        config = {"model": "sl3", "trials": 4, "seed": 815}
+        low = run_campaign({**config, "precision": 3})
+        default = run_campaign({**config, "precision": 40})
+        assert low["summary"] == default["summary"]
+        assert low["trials"] == default["trials"]
+        assert low["summary"]["pass"] == 4
+
     def test_zero_trials(self, capsys, tmp_path):
         f = write_json(tmp_path, "config.json", {"model": "tree", "trials": 0, "seed": 1})
         code, summary = run(capsys, ["verify-theorem", "--config", f])

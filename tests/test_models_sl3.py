@@ -34,8 +34,10 @@ from masures.models.sl3 import (
     _adjugate,
     _det,
     _diag,
+    _diagonal_exponents,
     _identity,
     _matmul,
+    _pivots,
     _triangularize,
 )
 
@@ -192,6 +194,77 @@ class TestTriangularForm:
         )
         with pytest.raises(MasureError):
             _triangularize(M, 40, (0, 1, 2))
+
+
+class TestValuationReadings:
+    """Pivots and membership read off valuations of minors agree with the
+    triangular form they replace on the campaign path."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_minor_valuations_match_the_triangular_form(self, q):
+        model = SL3Model(q=q, precision=40)
+        rng = random.Random(100 + q)
+        members = 0
+        for _ in range(10):
+            g = model.random_apartment(rng.getrandbits(48), rng.randrange(4))
+            h = model.random_apartment(rng.getrandbits(48), rng.randrange(3))
+            vals, det_val = model._relative(h, g)
+            for _ in range(20):
+                lam = [rng.randint(-6, 6) for _ in range(3)]
+                M = _matmul(g.matrix, _diag(model.field, [-e for e in lam]))
+                N = _matmul(h._adj, M)
+                exponents = _diagonal_exponents(vals, det_val, lam)
+                for order in ((0, 1, 2), (2, 1, 0)):
+                    assert _pivots(g, lam, order) == _triangularize(M, 40, order).pivots
+                    form = _triangularize(N, 40, order)
+                    assert (exponents is not None) == form.diagonal
+                    if exponents is not None:
+                        assert tuple(exponents) == form.pivots
+                members += exponents is not None
+        # both outcomes of the membership test are exercised
+        assert 0 < members < 200
+
+
+class TestPointEquality:
+    def _pair_with_members(self):
+        rng = random.Random(31)
+        while True:
+            first = MODEL.random_apartment(rng.getrandbits(48), 2)
+            second = MODEL.random_apartment(rng.getrandbits(48), 2)
+            if not MODEL.same_apartment(first, second):
+                hits = [
+                    (x, y)
+                    for x in MODEL.special_points(3)
+                    if (y := MODEL.apartment_coords(second, MODEL.chart(first, x))) is not None
+                ]
+                if hits:
+                    return first, second, hits
+
+    def test_the_same_point_through_two_charts(self):
+        first, second, hits = self._pair_with_members()
+        for x, y in hits:
+            p = MODEL.chart(first, x)
+            p2 = MODEL.chart(second, y)
+            assert p == p2
+            assert hash(p) == hash(p2)
+
+    def test_neighbouring_special_points_differ(self):
+        first, second, hits = self._pair_with_members()
+        x, y = hits[0]
+        p = MODEL.chart(first, x)
+        for step in ((Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(-1))):
+            neighbour = tuple(c + s for c, s in zip(y, step))
+            assert p != MODEL.chart(second, neighbour)
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 0, 1)])
+    def test_barycenters_compare_by_class_and_weight(self, perm):
+        # a reflected chart lists the alcove's corners in another order
+        ap = SL3Apartment(_matmul(permutation(perm), _diag(F, (1, -1, 0))))
+        x = (Q(1, 3), Q(5, 7))
+        y = MODEL.apartment_coords(STD, MODEL.chart(ap, x))
+        assert MODEL.chart(ap, x) == MODEL.chart(STD, y)
+        assert hash(MODEL.chart(ap, x)) == hash(MODEL.chart(STD, y))
+        assert MODEL.chart(ap, x) != MODEL.chart(ap, (Q(1, 3), Q(4, 7)))
 
 
 class TestApartmentValidation:
