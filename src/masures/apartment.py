@@ -504,13 +504,3 @@ class Sector:
     def contains(self, v: Sequence) -> bool:
         v = _as_point(self.germ.rgs, v)
         return self.germ.direction_contains(linalg.sub(v, self.base))
-
-
-def feasible(enclosed: EnclosedSet) -> Vector | None:
-    """A point of the set, or None when it is empty."""
-    return enclosed.sample_point()
-
-
-def enclosed_equal(first: EnclosedSet, second: EnclosedSet) -> bool:
-    """Same point set, regardless of presentation."""
-    return first == second

@@ -57,11 +57,9 @@ _A2 = [[2, -1], [-1, 2]]
 class _CliError(Exception):
     """Usage-level problem; its payload becomes the error object."""
 
-    def __init__(self, type_: str, message: str, violations=None):
+    def __init__(self, type_: str, message: str):
         super().__init__(message)
         self.payload = {"type": type_, "message": message}
-        if violations is not None:
-            self.payload["violations"] = [list(v) for v in violations]
 
 
 def _emit(obj) -> None:
@@ -70,6 +68,15 @@ def _emit(obj) -> None:
 
 def _emit_error(payload) -> None:
     sys.stdout.write(serialize.dumps({"error": payload}))
+
+
+def _validation_payload(e: MatrixValidationError) -> dict:
+    """The error object of a rejected matrix, with every violation."""
+    return {
+        "type": "MatrixValidationError",
+        "message": str(e),
+        "violations": [list(v) for v in e.violations],
+    }
 
 
 def _parse_rational(text: str) -> Q:
@@ -111,13 +118,7 @@ def _cmd_km_validate(args) -> int:
     try:
         matrix = serialize.rgs_from_json(doc).matrix
     except MatrixValidationError as e:
-        _emit_error(
-            {
-                "type": "MatrixValidationError",
-                "message": str(e),
-                "violations": [list(v) for v in e.violations],
-            }
-        )
+        _emit_error(_validation_payload(e))
         return EXIT_FAIL
     _emit({"valid": True, "size": matrix.size})
     return EXIT_OK
@@ -511,13 +512,7 @@ def main(argv=None) -> int:
         _emit_error(e.payload)
         return EXIT_USAGE
     except MatrixValidationError as e:
-        _emit_error(
-            {
-                "type": "MatrixValidationError",
-                "message": str(e),
-                "violations": [list(v) for v in e.violations],
-            }
-        )
+        _emit_error(_validation_payload(e))
         return EXIT_USAGE
     except MasureError as e:
         _emit_error({"type": e.__class__.__name__, "message": str(e)})

@@ -10,9 +10,11 @@ class MasureError(Exception):
 class MatrixValidationError(MasureError):
     """A candidate Kac-Moody matrix violates one or more axioms.
 
-    ``violations`` is a list of tags: ("NotSquare",), ("DiagonalNotTwo", i),
-    ("PositiveOffDiagonal", i, j), ("AsymmetricZero", i, j).  All violations
-    are collected, not just the first.
+    ``violations`` is a list of tags: ("NotSquare",), ("NotInteger", i, j)
+    for an entry that is not an ``int`` (a ``bool`` included),
+    ("DiagonalNotTwo", i), ("PositiveOffDiagonal", i, j),
+    ("AsymmetricZero", i, j).  All violations are collected, not just the
+    first; ("NotSquare",) stands alone, because nothing else can be checked.
     """
 
     def __init__(self, violations):

@@ -423,16 +423,29 @@ def _scan_and_fold(
     return PLPath(tuple(times), tuple(points)), folds, mutant_time, illegal_seen
 
 
-def _prepare_endpoints(
-    rgs: RootGeneratingSystem, a: Sequence, b: Sequence
-) -> tuple[Vector, Vector]:
+def _start_scan(
+    rgs: RootGeneratingSystem,
+    seed: int,
+    a: Sequence,
+    b: Sequence,
+    height_bound: int,
+    fold_probability,
+) -> tuple[Q, Vector, Vector, random.Random, int]:
+    """The set-up both generators share: the checked fold probability, the
+    endpoints with the start moved to generic position, the seeded RNG
+    after those draws, and the seed of the scan drawn from it."""
+    p = Q(fold_probability)
+    if not 0 <= p <= 1:
+        raise ValueError(f"fold probability {p} outside [0, 1]")
     a = tuple(Q(x) for x in a)
     b = tuple(Q(x) for x in b)
     if len(a) != rgs.dim or len(b) != rgs.dim:
         raise DimensionMismatch("segment endpoints of wrong dimension")
     if a == b:
         raise DegenerateSegment("folding a constant segment")
-    return a, b
+    rng = random.Random(seed)
+    a = _perturbed_start(rgs, rng, a, b, height_bound, attempts=24)
+    return p, a, b, rng, rng.getrandbits(64)
 
 
 def random_folded_path(
@@ -451,13 +464,7 @@ def random_folded_path(
     given probability; crossings on the updated tail are recomputed after
     each fold.  Deterministic in the seed.
     """
-    p = Q(fold_probability)
-    if not 0 <= p <= 1:
-        raise ValueError(f"fold probability {p} outside [0, 1]")
-    a, b = _prepare_endpoints(rgs, a, b)
-    rng = random.Random(seed)
-    a = _perturbed_start(rgs, rng, a, b, height_bound, attempts=24)
-    scan_seed = rng.getrandbits(64)
+    p, a, b, _, scan_seed = _start_scan(rgs, seed, a, b, height_bound, fold_probability)
     path, _, _, _ = _scan_and_fold(rgs, random.Random(scan_seed), a, b, height_bound, p, None)
     return path
 
@@ -478,14 +485,7 @@ def mutated_folded_path(
     Returns the path and the time of the planted fold, or None when the
     scan meets no illegal-direction crossing.
     """
-    p = Q(fold_probability)
-    if not 0 <= p <= 1:
-        raise ValueError(f"fold probability {p} outside [0, 1]")
-    a, b = _prepare_endpoints(rgs, a, b)
-    rng = random.Random(seed)
-    a = _perturbed_start(rgs, rng, a, b, height_bound, attempts=24)
-    scan_seed = rng.getrandbits(64)
-
+    p, a, b, rng, scan_seed = _start_scan(rgs, seed, a, b, height_bound, fold_probability)
     _, _, _, illegal_seen = _scan_and_fold(
         rgs, random.Random(scan_seed), a, b, height_bound, p, None
     )

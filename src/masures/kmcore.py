@@ -53,29 +53,54 @@ class KacMoodyMatrix:
 
 
 def validate_matrix(rows: Sequence[Sequence[int]]) -> KacMoodyMatrix:
-    """Check every axiom and report all violations at once."""
+    """Check every axiom and report all violations at once.
+
+    A ``bool`` is not an integer entry here, although Python counts it as
+    one; a non-integer entry is reported and left out of the other checks.
+    """
     n = len(rows)
-    violations: list[tuple] = []
     if n == 0 or any(len(r) != n for r in rows):
         raise MatrixValidationError([("NotSquare",)])
-    for r in rows:
-        for x in r:
-            if not isinstance(x, int):
-                raise MatrixValidationError([("NotSquare",)])  # non-integer input
+    a = [[x if isinstance(x, int) and not isinstance(x, bool) else None for x in r] for r in rows]
+    violations: list[tuple] = [
+        ("NotInteger", i, j) for i in range(n) for j in range(n) if a[i][j] is None
+    ]
     for i in range(n):
-        if rows[i][i] != 2:
+        if a[i][i] not in (2, None):
             violations.append(("DiagonalNotTwo", i))
     for i in range(n):
         for j in range(n):
-            if i != j and rows[i][j] > 0:
+            if i != j and a[i][j] is not None and a[i][j] > 0:
                 violations.append(("PositiveOffDiagonal", i, j))
     for i in range(n):
         for j in range(i + 1, n):
-            if (rows[i][j] == 0) != (rows[j][i] == 0):
+            if None not in (a[i][j], a[j][i]) and (a[i][j] == 0) != (a[j][i] == 0):
                 violations.append(("AsymmetricZero", i, j))
     if violations:
         raise MatrixValidationError(violations)
-    return KacMoodyMatrix(tuple(tuple(r) for r in rows))
+    return KacMoodyMatrix(tuple(tuple(r) for r in a))
+
+
+@functools.lru_cache(maxsize=None)
+def _finite_type(matrix: KacMoodyMatrix, J: frozenset[int]) -> bool:
+    """True iff the parabolic subgroup generated by {r_j : j in J} is finite.
+
+    Kac, *Infinite dimensional Lie algebras*, Prop. 4.9 and Thm. 4.3: W_J
+    is finite iff A_J is of finite type, iff every principal minor of A_J
+    is positive.  A principal minor is the product of the minors of the
+    connected pieces of its Dynkin subdiagram, so only index sets whose
+    subdiagram is connected are checked.
+    """
+    connected = {frozenset((j,)) for j in J}
+    frontier = set(connected)
+    while frontier:
+        frontier = {
+            S | {k} for S in frontier for i in S for k in J - S if matrix[i, k]
+        } - connected
+        connected |= frontier
+    return all(
+        linalg.det([[matrix[i, j] for j in S] for i in S]) > 0 for S in connected
+    )
 
 
 # -- realizations -----------------------------------------------------------
@@ -292,14 +317,6 @@ def weyl_word(rgs: RootGeneratingSystem, word: Iterable[int]) -> WeylElement:
     return w
 
 
-def act(w: WeylElement, v: Vector) -> Vector:
-    return w.act(v)
-
-
-def act_on_form(w: WeylElement, form: Vector) -> Vector:
-    return w.act_on_form(form)
-
-
 @functools.lru_cache(maxsize=None)
 def weyl_ball(rgs: RootGeneratingSystem, length_bound: int) -> tuple[WeylElement, ...]:
     """All elements of word length <= length_bound, shortest words attached.
@@ -445,17 +462,13 @@ def positive_roots(rgs: RootGeneratingSystem, height_bound: int) -> tuple[Root, 
 def roots_saturated(rgs: RootGeneratingSystem, height_bound: int) -> bool:
     """True when the bound already captures every real root.
 
-    One closure pass: if no simple reflection of a found positive root
-    produces a new positive root, the set is reflection-closed, and a
-    reflection-closed set containing the simple roots is all of them.
+    Only a finite type has finitely many real roots, and a finite root
+    system has roots at every height up to its highest root, so the bound
+    is saturated exactly when no root has the next height.
     """
-    found = {r.coords for r in positive_roots(rgs, height_bound)}
-    for root in positive_roots(rgs, height_bound):
-        for j in range(rgs.size):
-            image = _reflect_root(rgs, j, root)
-            if image.is_positive and image.coords not in found:
-                return False
-    return True
+    return _finite_type(rgs.matrix, frozenset(range(rgs.size))) and len(
+        positive_roots(rgs, height_bound + 1)
+    ) == len(positive_roots(rgs, height_bound))
 
 
 # -- Tits cone ---------------------------------------------------------------
@@ -499,41 +512,18 @@ def _descend(rgs: RootGeneratingSystem, v: Vector, step_bound: int):
     return "exhausted", None
 
 
-def _parabolic_is_finite(rgs: RootGeneratingSystem, J: frozenset[int], order_cap: int) -> bool:
-    """Close the subgroup generated by {r_j : j in J} up to order_cap."""
-    if not J:
-        return True
-    eye = linalg.identity(rgs.dim)
-    seen = {eye}
-    frontier = [eye]
-    gens = [_simple_matrix(rgs, j) for j in sorted(J)]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for g in gens:
-                mg = linalg.matmul(m, g)
-                if mg not in seen:
-                    if len(seen) >= order_cap:
-                        return False
-                    seen.add(mg)
-                    new_frontier.append(mg)
-        frontier = new_frontier
-    return True
-
-
 def tits_membership(
     rgs: RootGeneratingSystem,
     v: Vector,
     step_bound: int = 200,
-    order_cap: int = 10000,
 ) -> ConeLocation:
     """Locate v relative to the Tits cone (union of Weyl images of the
     closed fundamental chamber) by reflection descent.
 
-    Interior versus boundary is decided by finiteness of the parabolic
-    fixing the dominant representative; exceeding order_cap counts as
-    infinite.  A descent that neither terminates nor cycles within
-    step_bound yields "unknown".
+    The dominant representative lies in the interior exactly when the
+    parabolic subgroup fixing it is finite, which the Cartan matrix
+    decides exactly (`_finite_type`).  A descent that neither terminates
+    nor cycles within step_bound yields "unknown".
     """
     if len(v) != rgs.dim:
         raise DimensionMismatch(f"expected dim {rgs.dim}, got {len(v)}")
@@ -544,7 +534,7 @@ def tits_membership(
         status, dom = _descend(rgs, linalg.scale(side, v), step_bound)
         if status == "dominant":
             J = frozenset(i for i in range(rgs.size) if rgs.root_value(i, dom) == 0)
-            kind = "interior" if _parabolic_is_finite(rgs, J, order_cap) else "boundary"
+            kind = "interior" if _finite_type(rgs.matrix, J) else "boundary"
             return ConeLocation(kind, side, J)
         if status != "cycle":
             proven_out = False
@@ -567,10 +557,9 @@ def tits_preorder(
     x: Vector,
     y: Vector,
     step_bound: int = 200,
-    order_cap: int = 10000,
 ) -> str:
     """Compare x <= y in the Tits preorder (y - x in the Tits cone)."""
-    loc = tits_membership(rgs, linalg.sub(y, x), step_bound, order_cap)
+    loc = tits_membership(rgs, linalg.sub(y, x), step_bound)
     if loc.kind == "zero":
         return EQ
     if loc.kind == "interior":

@@ -99,6 +99,24 @@ def rank(m: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
+def det(m: Sequence[Sequence]) -> Q:
+    """Determinant of a square matrix by exact elimination."""
+    rows = [[Q(x) for x in row] for row in m]
+    out = ONE
+    for c in range(len(rows)):
+        pivot_row = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return out
+
+
 def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     """One exact solution of A x = b, or None when inconsistent.
 

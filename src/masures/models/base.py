@@ -21,6 +21,7 @@ refuses to answer and raises WindowTooSmall instead.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -44,6 +45,7 @@ from ..kmcore import (
     RootGeneratingSystem,
     coroot_coordinates,
     positive_roots,
+    roots_saturated,
     weyl_ball,
 )
 from ..linalg import Vector
@@ -64,15 +66,20 @@ class MasureModel(ABC):
     def rgs(self) -> RootGeneratingSystem:
         """Root generating system of the model apartment."""
 
-    @property
-    @abstractmethod
+    @functools.cached_property
     def root_height_bound(self) -> int:
-        """Height at which real-root enumeration saturates."""
+        """Least height at which real-root enumeration saturates.  The model
+        apartment's root system is of finite type, so that height exists."""
+        height = 1
+        while not roots_saturated(self.rgs, height):
+            height += 1
+        return height
 
-    @property
-    @abstractmethod
+    @functools.cached_property
     def weyl_length_bound(self) -> int:
-        """Length at which the Weyl ball is the whole vectorial group."""
+        """Length at which the Weyl ball is the whole vectorial group: the
+        longest element has one inversion per positive root."""
+        return len(positive_roots(self.rgs, self.root_height_bound))
 
     @abstractmethod
     def standard_apartment(self):

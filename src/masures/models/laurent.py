@@ -191,12 +191,6 @@ def divide(x: Laurent, y: Laurent, precision: int) -> Laurent:
     return mul(x, inverse(y, precision))
 
 
-def truncate_past(x: Laurent, known_to: int) -> Laurent:
-    if x.known_to is not None and x.known_to <= known_to:
-        return x
-    return Laurent(x.field, x.val_ or 0, x.coeffs, known_to)
-
-
 def floor_div_monomial(x: Laurent, e: int) -> Laurent:
     """The part of x with exponents >= e, divided by t^e.  Coefficients of
     x below e never matter here, so this loses no knowledge."""

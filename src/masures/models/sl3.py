@@ -352,14 +352,6 @@ class SL3Model(MasureModel):
     def rgs(self) -> RootGeneratingSystem:
         return self._rgs
 
-    @property
-    def root_height_bound(self) -> int:
-        return 2
-
-    @property
-    def weyl_length_bound(self) -> int:
-        return 3
-
     def standard_apartment(self) -> SL3Apartment:
         return self._standard
 

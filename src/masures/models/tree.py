@@ -136,14 +136,6 @@ class TreeModel(MasureModel):
     def rgs(self) -> RootGeneratingSystem:
         return self._rgs
 
-    @property
-    def root_height_bound(self) -> int:
-        return 1
-
-    @property
-    def weyl_length_bound(self) -> int:
-        return 1
-
     def standard_apartment(self) -> TreeApartment:
         return self._standard
 

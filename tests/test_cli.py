@@ -77,6 +77,25 @@ class TestKm:
         assert kinds == {"PositiveOffDiagonal", "AsymmetricZero"}
         validate(doc, "error.json")
 
+    def test_validate_reports_non_integer_entries(self, capsys, tmp_path):
+        f = write_json(tmp_path, "m.json", {"matrix": [[2, True], [1.5, 2]]})
+        code, doc = run(capsys, ["km", "validate", "--matrix", f])
+        assert code == EXIT_FAIL
+        assert doc["error"] == {
+            "type": "MatrixValidationError",
+            "message": "NotInteger:0:1; NotInteger:1:0",
+            "violations": [["NotInteger", 0, 1], ["NotInteger", 1, 0]],
+        }
+        validate(doc, "error.json")
+
+    def test_rejected_matrix_elsewhere_is_a_usage_error(self, capsys, tmp_path):
+        f = write_json(tmp_path, "m.json", {"matrix": [[2, 1], [0, 2]]})
+        code, doc = run(capsys, ["km", "roots", "--matrix", f, "--height", "2"])
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "MatrixValidationError"
+        assert doc["error"]["violations"] == [["PositiveOffDiagonal", 0, 1], ["AsymmetricZero", 0, 1]]
+        validate(doc, "error.json")
+
     def test_missing_file_is_a_usage_error(self, capsys):
         code, doc = run(capsys, ["km", "validate", "--matrix", "/no/such/file.json"])
         assert code == EXIT_USAGE

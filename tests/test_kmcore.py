@@ -6,6 +6,7 @@ under the reflection formula, Weyl elements as raw matrices multiplied
 out breadth-first.  Neither uses height pruning or provenance words.
 """
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -42,6 +43,7 @@ from masures.kmcore import (
     weyl_simple,
     weyl_word,
 )
+from masures.kmcore import _finite_type
 
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
@@ -108,6 +110,64 @@ def oracle_weyl_ball(rgs, length_bound):
     return ball
 
 
+# order of the largest finite Weyl group of each rank up to 4: A1, G2, B3, F4
+LARGEST_FINITE_WEYL_GROUP = {0: 1, 1: 2, 2: 12, 3: 48, 4: 1152}
+
+
+def oracle_parabolic_is_finite(rows, J):
+    """W_J closed by brute force: products of the reflections r_j, j in J,
+    as integer matrices on root coordinates (W acts faithfully there),
+    where r_j m subtracts sum_k a_jk m_k from row j of m.  A closure that
+    outgrows the largest finite Weyl group of rank |J| is infinite.
+    """
+    n = len(rows)
+
+    def reflect(j, m):
+        row = tuple(m[j][c] - sum(rows[j][k] * m[k][c] for k in range(n)) for c in range(n))
+        return m[:j] + (row,) + m[j + 1 :]
+
+    group = {tuple(tuple(int(r == c) for c in range(n)) for r in range(n))}
+    frontier = set(group)
+    while frontier:
+        frontier = {reflect(j, m) for m in frontier for j in J} - group
+        group |= frontier
+        if len(group) > LARGEST_FINITE_WEYL_GROUP[len(J)]:
+            return False
+    return True
+
+
+def oracle_roots_saturated(rows, height):
+    """The closure pass: the positive roots up to the height are closed
+    under the simple reflections."""
+    n = len(rows)
+    found = {c for c in oracle_root_closure(rows, height_cap=height) if min(c) >= 0}
+    for c in found:
+        for i in range(n):
+            image = list(c)
+            image[i] -= sum(c[j] * rows[i][j] for j in range(n))
+            if min(image) >= 0 and tuple(image) not in found:
+                return False
+    return True
+
+
+def chain_plus_three(rows):
+    """The matrix with one more node, bonded to the last by -3 both ways."""
+    n = len(rows)
+    out = [list(r) + [0] for r in rows] + [[0] * n + [2]]
+    out[n - 1][n] = out[n][n - 1] = -3
+    return out
+
+
+def a_chain(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def e6():
+    rows = [r + [0] for r in a_chain(5)] + [[0, 0, -1, 0, 0, 2]]
+    rows[2][5] = -1
+    return rows
+
+
 # -- matrix validation -----------------------------------------------------------
 
 
@@ -139,6 +199,22 @@ class TestValidateMatrix:
             validate_matrix([[2, -1]])
         with pytest.raises(MatrixValidationError):
             validate_matrix([])
+
+    @pytest.mark.parametrize("entry", [True, 1.5, -1.0, "-1", None])
+    def test_non_integer_entry(self, entry):
+        with pytest.raises(MatrixValidationError) as e:
+            validate_matrix([[2, entry], [-1, 2]])
+        assert e.value.violations == [("NotInteger", 0, 1)]
+
+    def test_non_integer_entries_reported_with_the_rest(self):
+        with pytest.raises(MatrixValidationError) as e:
+            validate_matrix([[2.0, 3], [0, False]])
+        assert e.value.violations == [
+            ("NotInteger", 0, 0),
+            ("NotInteger", 1, 1),
+            ("PositiveOffDiagonal", 0, 1),
+            ("AsymmetricZero", 0, 1),
+        ]
 
 
 # -- realizations -----------------------------------------------------------------
@@ -375,6 +451,52 @@ class TestTitsCone:
         zero = (Q(0), Q(0))
         assert tits_preorder(rgs, zero, zero) == EQ
         assert tits_preorder(rgs, zero, (Q(1), Q(1))) == LE_STRICT_INTERIOR
+
+    @pytest.mark.parametrize(
+        "rows,J",
+        [(chain_plus_three(a_chain(7)), range(7)), (chain_plus_three(e6()), range(6))],
+        ids=("A7", "E6"),
+    )
+    def test_large_finite_parabolic_is_interior(self, rows, J):
+        """W(A7) and W(E6), of orders 40320 and 51840, are finite parabolics
+        of an infinite type; the Cartan matrix decides that without closing
+        the group."""
+        rgs = default_realization(validate_matrix(rows))
+        n = len(rows)
+        v = linalg.solve(rgs.simple_roots, [0] * (n - 1) + [1])
+        loc = tits_membership(rgs, v)
+        assert loc.kind == "interior" and loc.side == 1
+        assert loc.zero_set == frozenset(J)
+        assert not _finite_type(rgs.matrix, frozenset(range(n)))
+
+
+class TestFiniteType:
+    @given(km_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_closure_on_every_parabolic(self, rows):
+        matrix = validate_matrix(rows)
+        n = len(rows)
+        for k in range(n + 1):
+            for J in itertools.combinations(range(n), k):
+                assert _finite_type(matrix, frozenset(J)) == oracle_parabolic_is_finite(rows, J)
+
+    @pytest.mark.parametrize(
+        "rows,finite",
+        [(a_chain(8), True), (e6(), True), (chain_plus_three(a_chain(7)), False),
+         (A1_AFFINE, False), ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], False)],
+        ids=("A8", "E6", "A7+3", "affine-A1", "affine-A2"),
+    )
+    def test_known_types(self, rows, finite):
+        assert _finite_type(validate_matrix(rows), frozenset(range(len(rows)))) == finite
+
+    @pytest.mark.parametrize(
+        "rows", [A2, B2, G2, A1_AFFINE, [[2, -3], [-3, 2]]],
+        ids=("A2", "B2", "G2", "affine-A1", "hyperbolic"),
+    )
+    def test_saturation_matches_closure_pass(self, rows):
+        rgs = default_realization(validate_matrix(rows))
+        for height in range(1, 13):
+            assert roots_saturated(rgs, height) == oracle_roots_saturated(rows, height)
 
 
 class TestDominance:

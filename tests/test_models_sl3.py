@@ -20,7 +20,7 @@ from masures.apartment import (
 )
 from masures.errors import MasureError, PrecisionExhausted
 from masures.heckepath import PASS, verify_growth
-from masures.kmcore import simple_root, weyl_word
+from masures.kmcore import simple_root, weyl_ball_complete, weyl_word
 from masures.models import (
     SL3Apartment,
     SL3Model,
@@ -106,6 +106,12 @@ def random_frame(rng):
 
 
 # -- canonical form ------------------------------------------------------------------
+
+
+def test_model_bounds_are_derived_from_the_root_data():
+    # A2: highest root alpha_0 + alpha_1 of height 2, longest element of length 3
+    assert (MODEL.root_height_bound, MODEL.weyl_length_bound) == (2, 3)
+    assert weyl_ball_complete(RGS, 3) and not weyl_ball_complete(RGS, 2)
 
 
 class TestTriangularForm:
@@ -275,7 +281,7 @@ class TestApartmentValidation:
 
     def test_inexact_frames_rejected(self):
         g = [list(row) for row in _identity(F)]
-        g[0][1] = L.truncate_past(L.one(F), 5)
+        g[0][1] = L.Laurent(F, 0, (1,), 5)
         with pytest.raises(MasureError):
             SL3Apartment(matrix(g))
 

@@ -96,6 +96,11 @@ def test_word_distance_is_the_graph_distance():
             assert word_distance(u, w) == bfs_distance(2, u, w)
 
 
+def test_model_bounds_are_derived_from_the_root_data():
+    # A1: one positive root, of height 1, and W = {1, r}
+    assert (MODEL.root_height_bound, MODEL.weyl_length_bound) == (1, 1)
+
+
 # -- addresses --------------------------------------------------------------------
 
 
