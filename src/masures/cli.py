@@ -114,9 +114,8 @@ def _rgs_from_args(args) -> "RootGeneratingSystem":
 
 
 def _cmd_km_validate(args) -> int:
-    doc = _load_json(args.matrix)
     try:
-        matrix = serialize.rgs_from_json(doc).matrix
+        matrix = _rgs_from_args(args).matrix
     except MatrixValidationError as e:
         _emit_error(_validation_payload(e))
         return EXIT_FAIL
@@ -266,24 +265,28 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _build_model(config: dict):
-    kind = config["model"]
-    if kind == "tree":
-        return TreeModel(q=config["q"])
-    if kind == "sl3":
-        return SL3Model(q=config["q"], precision=config["precision"])
-    raise _CliError("BadConfig", f"unknown model kind {kind!r}")
+# least value of each integer config key, as in schemas/campaign_report.json
+_CONFIG_MINIMUMS = {
+    "trials": 0,
+    "seed": None,
+    "q": 2,
+    "complexity": 0,
+    "window_radius": 1,
+    "height_bound": 1,
+    "length_bound": 1,
+}
 
 
 def _fill_config(raw: dict):
     """The config with defaults filled in, and the model it describes."""
+    if not isinstance(raw, dict):
+        raise _CliError("BadConfig", "config must be a JSON object")
     config = dict(raw)
     kind = config.get("model")
     if kind not in ("tree", "sl3"):
         raise _CliError("BadConfig", "config needs model: 'tree' or 'sl3'")
     config.setdefault("q", 2)
     if kind == "sl3":
-        config.setdefault("precision", 40)
         config.setdefault("complexity", 2)
         config.setdefault("window_radius", 6)
     else:
@@ -292,7 +295,15 @@ def _fill_config(raw: dict):
     for key in ("trials", "seed"):
         if key not in config:
             raise _CliError("BadConfig", f"config needs {key}")
-    model = _build_model(config)
+    for key, least in _CONFIG_MINIMUMS.items():
+        if key not in config:
+            continue
+        value = config[key]
+        if type(value) is not int:
+            raise _CliError("BadConfig", f"config {key} must be an integer, not {value!r}")
+        if least is not None and value < least:
+            raise _CliError("BadConfig", f"config {key} must be at least {least}, not {value}")
+    model = (TreeModel if kind == "tree" else SL3Model)(q=config["q"])
     config.setdefault("height_bound", model.root_height_bound)
     config.setdefault("length_bound", model.weyl_length_bound)
     return config, model
@@ -385,7 +396,6 @@ def run_campaign(raw_config: dict) -> dict:
         for k in (
             "model",
             "q",
-            "precision",
             "trials",
             "seed",
             "window_radius",

@@ -58,15 +58,14 @@ class NonGenericSegment(MasureError, ValueError):
     """A segment meets two walls at one parameter; resample the endpoint."""
 
 
-class NotInApartment(MasureError, ValueError):
-    pass
-
-
 class PrecisionExhausted(MasureError, ArithmeticError):
-    """A decision needed Laurent coefficients beyond the precision budget.
+    """A series operation needed Laurent coefficients beyond those known.
 
-    Deliberately fatal: silent truncation could turn an unequal pair of
-    lattice classes into an "equal" verdict.
+    Raised only by the series arithmetic of `models.laurent` and by the
+    reference triangularization `models.sl3._triangularize`, which
+    nothing on a campaign path calls.  Deliberately fatal: silent
+    truncation could turn an unequal pair of lattice classes into an
+    "equal" verdict.
     """
 
 

@@ -6,7 +6,6 @@ from .base import (
     VerificationReport,
     check_MA2,
     intersect_with_standard,
-    random_apartment,
     retract,
     retract_segment,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "VerificationReport",
     "check_MA2",
     "intersect_with_standard",
-    "random_apartment",
     "retract",
     "retract_segment",
     "SL3Apartment",

@@ -122,10 +122,6 @@ def retract(model: MasureModel, point, germ: SectorGerm) -> Vector:
     return model.point_retract(point, _validate_germ(model, germ))
 
 
-def random_apartment(model: MasureModel, seed: int, complexity: int):
-    return model.random_apartment(seed, complexity)
-
-
 def retract_segment(
     model: MasureModel,
     apartment,

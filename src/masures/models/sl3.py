@@ -29,11 +29,11 @@ on rows {r0}, {r0, r1} and all three rows; order (0,1,2) reads off the
 retraction from minus infinity and (2,1,0) that from plus infinity.
 Frames are exact Laurent polynomials, so each of these numbers is exact.
 
-Point equality alone uses the triangular canonical form: monomial pivots,
-one per row, entries below them reduced modulo the pivot.  It is computed
-over Laurent series with every division tracked, so it either is exact or
-raises PrecisionExhausted; nothing is silently rounded.  The precision
-budget bounds only that form, so it cannot change a campaign verdict.
+Point equality is a membership reading too.  Every apartment charts the
+model apartment injectively, so two points are equal exactly when one
+lies in the other's apartment at the other's coordinates; a point hashes
+as its retraction from minus infinity, which equal points share.  No
+comparison divides, so none can run out of series coefficients.
 """
 
 from __future__ import annotations
@@ -107,14 +107,7 @@ def _identity(field: GF) -> Matrix:
     )
 
 
-def _diag(field: GF, exponents: Sequence[int]) -> Matrix:
-    return tuple(
-        tuple(L.monomial(field, exponents[i]) if i == j else L.zero(field) for j in range(3))
-        for i in range(3)
-    )
-
-
-# -- triangular canonical form ------------------------------------------------
+# -- triangular form, the reference reading ------------------------------------
 
 
 class TriangularForm:
@@ -136,23 +129,12 @@ class TriangularForm:
     def diagonal(self) -> bool:
         return all(e.is_exact_zero for e in self.below.values())
 
-    def key(self):
-        """Class invariant: the form shifted so the row-0 pivot is t^0."""
-        s = self.pivots[0]
-        entries = []
-        for (i, j), e in sorted(self.below.items()):
-            coeffs = tuple(
-                (exp - s, c)
-                for exp, c in (
-                    (e.val_ + k, c) for k, c in enumerate(e.coeffs)
-                )
-                if c
-            )
-            entries.append(((i, j), coeffs))
-        return (tuple(p - s for p in self.pivots), tuple(entries))
-
 
 def _triangularize(M: Matrix, precision: int, row_order: Sequence[int]) -> TriangularForm:
+    """Reduce M over Laurent series, dividing to `precision` orders, or
+    raise PrecisionExhausted.  Nothing in the package calls it: the tests
+    check `_pivots` and `_diagonal_exponents` against it, and
+    perfbench/tracer.py looks it up by name."""
     field = M[0][0].field
     cols = [[M[i][j] for i in range(3)] for j in range(3)]
 
@@ -235,36 +217,28 @@ class SL3Point:
     """Barycenter of alcove corners of one apartment's chart.
 
     Each corner is a (lam, weight) pair standing for the class of
-    frame . diag(t^-lam).  Equality and hashing compare the canonical
-    triangular keys of the corner classes, with their weights; the keys
-    are built on first use, since charts, memberships and retractions only
-    read valuations of the frame.
+    frame . diag(t^-lam).  Two points are equal when the membership
+    reading of one in the other's apartment gives the other's own
+    alpha-values; a point hashes as its retraction from minus infinity.
     """
 
-    __slots__ = ("apartment", "corners", "precision", "_data")
+    __slots__ = ("apartment", "corners")
 
-    def __init__(self, apartment: SL3Apartment, corners, precision: int):
+    def __init__(self, apartment: SL3Apartment, corners):
         self.apartment = apartment
         self.corners = tuple(corners)
-        self.precision = precision
-        self._data = None
-
-    def _key_data(self):
-        if self._data is None:
-            g = self.apartment.matrix
-            field = g[0][0].field
-            keyed = []
-            for lam, weight in self.corners:
-                M = _matmul(g, _diag(field, [-e for e in lam]))
-                keyed.append((_triangularize(M, self.precision, (0, 1, 2)).key(), weight))
-            self._data = tuple(sorted(keyed, key=lambda c: (c[1], c[0])))
-        return self._data
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SL3Point) and self._key_data() == other._key_data()
+        if not isinstance(other, SL3Point):
+            return False
+        g, h = self.apartment, other.apartment
+        if g.matrix[0][0].field != h.matrix[0][0].field:
+            return False
+        own = _barycenter(([-e for e in lam], w) for lam, w in other.corners)
+        return _membership(*_relative_frame(h, g), self.corners) == own
 
     def __hash__(self) -> int:
-        return hash(self._key_data())
+        return hash(_retraction(self, (0, 1, 2)))
 
     def __repr__(self) -> str:
         return f"SL3Point({len(self.corners)} corners)"
@@ -321,6 +295,46 @@ def _diagonal_exponents(vals, det_val: int, lam: Sequence[int]) -> list[int] | N
     return d if sum(d) == det_val - sum(lam) else None
 
 
+def _relative_frame(h: SL3Apartment, g: SL3Apartment):
+    """Entry valuations of the relative frame adj(h) . g, and
+    val det(adj(h) . g) = 2 val det h + val det g."""
+    return _valuations(_matmul(h._adj, g.matrix)), 2 * h._det_val + g._det_val
+
+
+def _barycenter(weighted) -> tuple[Q, Q]:
+    """Alpha-values (a, b) of the barycenter of the classes diag(t^e),
+    given as (e, weight) pairs; such a class has coweight -e."""
+    a = Q(0)
+    b = Q(0)
+    for e, w in weighted:
+        a += w * (e[1] - e[0])
+        b += w * (e[2] - e[1])
+    return a, b
+
+
+def _membership(vals, det_val: int, corners) -> tuple[Q, Q] | None:
+    """Alpha-values in the chart of h of the point made of `corners` of the
+    chart of g, or None when h does not contain it; `vals` and `det_val`
+    are those of the relative frame adj(h) . g."""
+    weighted = []
+    for lam, w in corners:
+        d = _diagonal_exponents(vals, det_val, lam)
+        if d is None:
+            return None
+        weighted.append((d, w))
+    a, b = _barycenter(weighted)
+    # the corners of (a, b)'s alcove in this chart must be exactly the
+    # classes the point is made of, with the same weights
+    got = sorted((d[1] - d[0], d[2] - d[1], w) for d, w in weighted)
+    return (a, b) if sorted(_alcove_corners(a, b)) == got else None
+
+
+def _retraction(point: SL3Point, row_order: Sequence[int]) -> tuple[Q, Q]:
+    """Alpha-values of the point's retraction, from minus infinity for row
+    order (0, 1, 2) and from plus infinity for (2, 1, 0)."""
+    return _barycenter((_pivots(point.apartment, lam, row_order), w) for lam, w in point.corners)
+
+
 def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
     """Corners (integer alpha-values) and barycentric weights of the alcove
     containing the point with alpha-values (a, b); zero weights dropped."""
@@ -336,14 +350,12 @@ def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
 
 
 class SL3Model(MasureModel):
-    """SL3 over F_q((t)); the precision budget bounds the divisions of the
-    canonical form that point equality uses."""
+    """SL3 over F_q((t))."""
 
     name = "sl3"
 
-    def __init__(self, q: int = 2, precision: int = 40):
+    def __init__(self, q: int = 2):
         self.field = GF(q)
-        self.precision = precision
         self._rgs = _sl3_rgs()
         self._standard = SL3Apartment(_identity(self.field))
         self._relative_memo = None
@@ -369,49 +381,26 @@ class SL3Model(MasureModel):
     def chart(self, apartment: SL3Apartment, coords: Sequence) -> SL3Point:
         a, b = self._alpha_values(coords)
         corners = [((ca + cb, cb, 0), w) for ca, cb, w in _alcove_corners(a, b)]
-        return SL3Point(apartment, corners, self.precision)
+        return SL3Point(apartment, corners)
 
     def _relative(self, h: SL3Apartment, g: SL3Apartment):
-        """Entry valuations of the relative frame adj(h) . g, and
-        val det(adj(h) . g) = 2 val det h + val det g.  The last pair asked
-        for is kept, since a window's points all share it."""
+        """`_relative_frame(h, g)`; the last pair asked for is kept, since
+        a window's points all share it."""
         memo = self._relative_memo
         if memo is None or memo[0] is not h or memo[1] is not g:
-            vals = _valuations(_matmul(h._adj, g.matrix))
-            memo = (h, g, vals, 2 * h._det_val + g._det_val)
+            memo = (h, g, *_relative_frame(h, g))
             self._relative_memo = memo
         return memo[2], memo[3]
 
     def apartment_coords(self, apartment: SL3Apartment, point: SL3Point) -> Vector | None:
-        vals, det_val = self._relative(apartment, point.apartment)
-        positions = []
-        for lam, _ in point.corners:
-            d = _diagonal_exponents(vals, det_val, lam)
-            if d is None:
-                return None
-            positions.append((d[1] - d[0], d[2] - d[1]))
-        weights = [w for _, w in point.corners]
-        a = sum((Q(p[0]) * w for p, w in zip(positions, weights)), Q(0))
-        b = sum((Q(p[1]) * w for p, w in zip(positions, weights)), Q(0))
-        # the corners of (a, b)'s alcove in this chart must be exactly the
-        # classes the point is made of, with the same weights
-        expected = sorted((ca, cb, w) for ca, cb, w in _alcove_corners(a, b))
-        got = sorted((p[0], p[1], w) for p, w in zip(positions, weights))
-        if expected != got:
-            return None
-        return self._from_alpha(a, b)
+        reading = _membership(*self._relative(apartment, point.apartment), point.corners)
+        return None if reading is None else self._from_alpha(*reading)
 
     def point_retract(self, point: SL3Point, germ) -> Vector:
         from ..apartment import minus_infinity
 
         order = (0, 1, 2) if germ == minus_infinity(self._rgs) else (2, 1, 0)
-        a = Q(0)
-        b = Q(0)
-        for lam, w in point.corners:
-            d = _pivots(point.apartment, lam, order)
-            a += w * (d[1] - d[0])
-            b += w * (d[2] - d[1])
-        return self._from_alpha(a, b)
+        return self._from_alpha(*_retraction(point, order))
 
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
         out = []

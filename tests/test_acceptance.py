@@ -382,7 +382,7 @@ def test_acceptance_5_tree_retraction_vs_graph_oracle():
 
 def test_acceptance_6_sl3_suite():
     start = time.monotonic()
-    model = SL3Model(q=2, precision=40)
+    model = SL3Model(q=2)
     alpha1 = simple_root(model.rgs, 0)
     offenses = []
     precision_failures = 0
@@ -438,7 +438,7 @@ def test_acceptance_7_retraction_pair_separation():
     tallies = {}
     cases = (
         ("tree", TreeModel(q=2), 8, (1, 2, 3, 4), 8, 1, 5000),
-        ("sl3", SL3Model(q=2, precision=40), 2, (1, 2), 4, 2, 2500),
+        ("sl3", SL3Model(q=2), 2, (1, 2), 4, 2, 2500),
     )
     for name, model, cap, denoms, span, height, draw_cap in cases:
         rgs = model.rgs

@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 from importlib import resources
 
 import jsonschema
+import pytest
 from referencing import Registry, Resource
 
 from masures import serialize
@@ -86,6 +87,14 @@ class TestKm:
             "message": "NotInteger:0:1; NotInteger:1:0",
             "violations": [["NotInteger", 0, 1], ["NotInteger", 1, 0]],
         }
+        validate(doc, "error.json")
+
+    @pytest.mark.parametrize("document", [{"matrix": [1, 2]}, {"matrx": [[2]]}])
+    def test_validate_malformed_document_is_a_usage_error(self, capsys, tmp_path, document):
+        f = write_json(tmp_path, "m.json", document)
+        code, doc = run(capsys, ["km", "validate", "--matrix", f])
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "BadMatrixFile"
         validate(doc, "error.json")
 
     def test_rejected_matrix_elsewhere_is_a_usage_error(self, capsys, tmp_path):
@@ -258,21 +267,24 @@ class TestVerifyTheorem:
         assert out.read_bytes() == first
 
     def test_sl3_campaign_passes(self, capsys, tmp_path):
-        config = {"model": "sl3", "trials": 2, "seed": 7}
+        out = tmp_path / "report.json"
+        config = {"model": "sl3", "trials": 2, "seed": 7, "output": str(out)}
         f = write_json(tmp_path, "config.json", config)
         code, summary = run(capsys, ["verify-theorem", "--config", f])
         assert code == EXIT_OK
         assert summary["pass"] == 2
+        report = json.loads(out.read_text())
+        validate(report, "campaign_report.json")
+        assert report["config"]["window_radius"] == 6
 
     def test_sl3_campaign_does_not_spend_precision(self):
-        # membership and retraction are exact valuation readings, so a
-        # tiny division budget gives the same campaign as the default one
+        # nothing in the model divides series, so a config that still
+        # carries a precision budget runs the campaign it always did
         config = {"model": "sl3", "trials": 4, "seed": 815}
-        low = run_campaign({**config, "precision": 3})
-        default = run_campaign({**config, "precision": 40})
-        assert low["summary"] == default["summary"]
-        assert low["trials"] == default["trials"]
-        assert low["summary"]["pass"] == 4
+        old = run_campaign({**config, "precision": 3})
+        assert serialize.dumps(old) == serialize.dumps(run_campaign(config))
+        assert "precision" not in old["config"]
+        assert old["summary"]["pass"] == 4
 
     def test_zero_trials(self, capsys, tmp_path):
         f = write_json(tmp_path, "config.json", {"model": "tree", "trials": 0, "seed": 1})
@@ -301,6 +313,28 @@ class TestVerifyTheorem:
         code, doc = run(capsys, ["verify-theorem", "--config", f])
         assert code == EXIT_USAGE
         assert doc["error"]["type"] == "BadConfig"
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ([{"model": "tree", "trials": 1, "seed": 1}], None),
+            ({"model": "tree", "trials": "3", "seed": 1}, "trials"),
+            ({"model": "tree", "trials": -1, "seed": 1}, "trials"),
+            ({"model": "tree", "trials": 1, "seed": True}, "seed"),
+            ({"model": "sl3", "trials": 1, "seed": 1, "q": 1}, "q"),
+            ({"model": "sl3", "trials": 1, "seed": 1, "complexity": -1}, "complexity"),
+            ({"model": "tree", "trials": 1, "seed": 1, "window_radius": 0}, "window_radius"),
+            ({"model": "tree", "trials": 1, "seed": 1, "height_bound": 1.0}, "height_bound"),
+            ({"model": "sl3", "trials": 1, "seed": 1, "length_bound": 0}, "length_bound"),
+        ],
+    )
+    def test_malformed_config_is_a_bad_config(self, capsys, tmp_path, config, key):
+        f = write_json(tmp_path, "config.json", config)
+        code, doc = run(capsys, ["verify-theorem", "--config", f])
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "BadConfig"
+        assert key is None or key in doc["error"]["message"]
+        validate(doc, "error.json")
 
     def test_derive_seed_matches_the_documented_rule(self):
         import hashlib

@@ -1,10 +1,10 @@
-"""Lattice model over F_q((t)): canonical forms, charts, retractions.
+"""Lattice model over F_q((t)): valuation readings, charts, retractions.
 
 The oracle for lattice questions avoids the triangularization entirely:
 L(A) is contained in L(B) iff B^-1 A is integral, i.e. iff every entry of
 adj(B) . A has valuation at least val(det B), and on exact polynomial
-frames that is a finite exact computation.  Canonical-form equality is
-then required to agree with mutual inclusion.
+frames that is a finite exact computation.  Point equality is then
+required to agree with mutual inclusion of the corner lattices.
 """
 
 import random
@@ -33,7 +33,6 @@ from masures.models import laurent as L
 from masures.models.sl3 import (
     _adjugate,
     _det,
-    _diag,
     _diagonal_exponents,
     _identity,
     _matmul,
@@ -41,7 +40,7 @@ from masures.models.sl3 import (
     _triangularize,
 )
 
-MODEL = SL3Model(q=2, precision=40)
+MODEL = SL3Model(q=2)
 F = MODEL.field
 RGS = MODEL.rgs
 STD = MODEL.standard_apartment()
@@ -62,41 +61,72 @@ def same_lattice(A, B):
     return lattice_leq(A, B) and lattice_leq(B, A)
 
 
+def same_class(A, B):
+    """Same lattice once B is scaled by the homothety that equalises the
+    determinant valuations; none does unless they differ by a multiple of 3."""
+    shift, rest = divmod(_det(A).val() - _det(B).val(), 3)
+    field = A[0][0].field
+    return rest == 0 and same_lattice(A, _matmul(B, _diag(field, (shift, shift, shift))))
+
+
+def same_point(p, q):
+    """The same corner classes with the same weights; the corners of one
+    point are distinct classes, so this pairs them off one to one."""
+    def corners(point):
+        g = point.apartment.matrix
+        field = g[0][0].field
+        return [(_matmul(g, _diag(field, [-e for e in lam])), w) for lam, w in point.corners]
+
+    mine, theirs = corners(p), corners(q)
+    return len(mine) == len(theirs) and all(
+        any(w == v and same_class(M, N) for N, v in theirs) for M, w in mine
+    )
+
+
 def matrix(rows):
     return tuple(tuple(e for e in row) for row in rows)
 
 
-def elementary(i, j, u):
-    rows = [[L.one(F) if r == c else L.zero(F) for c in range(3)] for r in range(3)]
+def _diag(field, exponents):
+    return matrix(
+        [L.monomial(field, exponents[i]) if i == j else L.zero(field) for j in range(3)]
+        for i in range(3)
+    )
+
+
+def elementary(field, i, j, u):
+    rows = [[L.one(field) if r == c else L.zero(field) for c in range(3)] for r in range(3)]
     rows[i][j] = u
     return matrix(rows)
 
 
-def permutation(perm):
-    rows = [[L.zero(F)] * 3 for _ in range(3)]
+def permutation(field, perm):
+    rows = [[L.zero(field)] * 3 for _ in range(3)]
     for r, c in enumerate(perm):
-        rows[r][c] = L.one(F)
+        rows[r][c] = L.one(field)
     return matrix(rows)
 
 
-def random_integral_unimodular(rng):
-    """Product of elementary integral column operations, unit determinant."""
-    out = _identity(F)
+def random_integral_unimodular(rng, field):
+    """Product of elementary integral column operations, unit determinant,
+    so that frame . U spans the frame's own lattice."""
+    out = _identity(field)
     for _ in range(rng.randrange(1, 5)):
         kind = rng.randrange(3)
         if kind == 0:
             i, j = rng.sample(range(3), 2)
-            u = L.from_coeffs(F, rng.randrange(0, 3), [rng.randrange(2) for _ in range(4)])
-            out = _matmul(out, elementary(i, j, u))
+            u = L.from_coeffs(field, rng.randrange(0, 3), [rng.randrange(field.q) for _ in range(4)])
+            out = _matmul(out, elementary(field, i, j, u))
         elif kind == 1:
             perm = list(range(3))
             rng.shuffle(perm)
-            out = _matmul(out, permutation(perm))
+            out = _matmul(out, permutation(field, perm))
         else:
-            unit = L.from_coeffs(F, 0, [1] + [rng.randrange(2) for _ in range(3)])
-            d = [L.one(F)] * 3
+            lead = rng.randrange(1, field.q)
+            unit = L.from_coeffs(field, 0, [lead] + [rng.randrange(field.q) for _ in range(3)])
+            d = [L.one(field)] * 3
             d[rng.randrange(3)] = unit
-            rows = [[d[r] if r == c else L.zero(F) for c in range(3)] for r in range(3)]
+            rows = [[d[r] if r == c else L.zero(field) for c in range(3)] for r in range(3)]
             out = _matmul(out, matrix(rows))
     return out
 
@@ -115,30 +145,14 @@ def test_model_bounds_are_derived_from_the_root_data():
 
 
 class TestTriangularForm:
-    def test_key_invariant_under_integral_column_operations(self):
+    def test_pivots_invariant_under_integral_column_operations(self):
         rng = random.Random(1)
         for _ in range(20):
             M = random_frame(rng)
-            U = random_integral_unimodular(rng)
+            U = random_integral_unimodular(rng, F)
             left = _triangularize(M, 40, (0, 1, 2))
             right = _triangularize(_matmul(M, U), 40, (0, 1, 2))
-            assert left.key() == right.key()
             assert left.pivots == right.pivots
-
-    def test_key_equality_matches_the_inclusion_oracle(self):
-        rng = random.Random(2)
-        frames = [random_frame(rng) for _ in range(12)]
-        for A in frames:
-            for B in frames:
-                keys_equal = (
-                    _triangularize(A, 40, (0, 1, 2)).key()
-                    == _triangularize(B, 40, (0, 1, 2)).key()
-                )
-                # key() compares classes, so align determinants before
-                # asking the oracle about the lattices themselves
-                shift = (_det(A).val() - _det(B).val()) // 3
-                B_shifted = _matmul(B, _diag(F, (shift, shift, shift)))
-                assert keys_equal == same_lattice(A, B_shifted)
 
     def test_pivots_sum_to_determinant_valuation(self):
         rng = random.Random(3)
@@ -208,7 +222,7 @@ class TestValuationReadings:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_minor_valuations_match_the_triangular_form(self, q):
-        model = SL3Model(q=q, precision=40)
+        model = SL3Model(q=q)
         rng = random.Random(100 + q)
         members = 0
         for _ in range(10):
@@ -265,12 +279,81 @@ class TestPointEquality:
     @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 0, 1)])
     def test_barycenters_compare_by_class_and_weight(self, perm):
         # a reflected chart lists the alcove's corners in another order
-        ap = SL3Apartment(_matmul(permutation(perm), _diag(F, (1, -1, 0))))
+        ap = SL3Apartment(_matmul(permutation(F, perm), _diag(F, (1, -1, 0))))
         x = (Q(1, 3), Q(5, 7))
         y = MODEL.apartment_coords(STD, MODEL.chart(ap, x))
         assert MODEL.chart(ap, x) == MODEL.chart(STD, y)
         assert hash(MODEL.chart(ap, x)) == hash(MODEL.chart(STD, y))
         assert MODEL.chart(ap, x) != MODEL.chart(ap, (Q(1, 3), Q(4, 7)))
+
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_equality_matches_the_lattice_oracle(self, q):
+        model = SL3Model(q=q)
+        rng = random.Random(500 + q)
+        xs = [
+            (Q(0), Q(0)), (Q(1), Q(-1)), (Q(2), Q(1)), (Q(1, 2), Q(0)),
+            (Q(1, 3), Q(5, 7)), (Q(-3, 4), Q(11, 6)), (Q(1, 3), Q(1, 3)), (Q(-1, 4), Q(1, 2)),
+        ]
+        unequal = equal_specials = equal_barycenters = 0
+        for _ in range(4):
+            g = model.random_apartment(rng.getrandbits(48), rng.randrange(1, 4))
+            h = model.random_apartment(rng.getrandbits(48), rng.randrange(1, 4))
+            # another frame of the lattice that g charts at the origin
+            k = SL3Apartment(_matmul(g.matrix, random_integral_unimodular(rng, model.field)))
+            left = [model.chart(g, x) for x in xs]
+            right = [model.chart(a, x) for a in (h, k) for x in xs]
+            for p in left:
+                y = model.apartment_coords(h, p)
+                if y is not None:
+                    right.append(model.chart(h, y))
+                    right.append(model.chart(h, (y[0] + 1, y[1])))
+            for p in left:
+                for r in right:
+                    expected = same_point(p, r)
+                    assert (p == r) == expected
+                    assert (r == p) == expected
+                    if not expected:
+                        unequal += 1
+                        continue
+                    assert hash(p) == hash(r)
+                    if len(p.corners) == 1:
+                        equal_specials += 1
+                    else:
+                        equal_barycenters += 1
+        assert unequal and equal_specials and equal_barycenters
+
+    def test_equality_needs_no_division_budget(self):
+        # on complexity-6 frames the triangular form runs out of series
+        # coefficients at precision 4, and equality still decides
+        rng = random.Random(6)
+        decided = 0
+        for _ in range(200):
+            g = MODEL.random_apartment(rng.getrandbits(48), 6)
+            try:
+                _triangularize(g.matrix, 4, (0, 1, 2))
+                continue
+            except PrecisionExhausted:
+                pass
+            k = SL3Apartment(_matmul(g.matrix, random_integral_unimodular(rng, F)))
+            p = MODEL.chart(g, (Q(0), Q(0)))
+            for x in ((Q(0), Q(0)), (Q(1), Q(0)), (Q(1, 2), Q(1, 3))):
+                r = MODEL.chart(k, x)
+                assert (p == r) == same_point(p, r) == (x == (Q(0), Q(0)))
+            assert p == MODEL.chart(g, (Q(0), Q(0)))
+            assert hash(p) == hash(MODEL.chart(k, (Q(0), Q(0))))
+            decided += 1
+            if decided == 5:
+                break
+        assert decided == 5
+
+    def test_points_over_different_fields_differ(self):
+        origin = (Q(0), Q(0))
+        p = MODEL.chart(STD, origin)
+        assert p != SL3Model(q=3).chart(SL3Model(q=3).standard_apartment(), origin)
+        # another model over the same field charts the same point
+        other = SL3Model(q=2)
+        assert p == other.chart(other.standard_apartment(), origin)
 
 
 class TestApartmentValidation:
@@ -343,7 +426,7 @@ class TestCharts:
 
     def test_same_apartment(self):
         diag = SL3Apartment(_diag(F, (3, -2, -1)))
-        swapped = SL3Apartment(_matmul(permutation((1, 0, 2)), _diag(F, (3, -2, -1))))
+        swapped = SL3Apartment(_matmul(permutation(F, (1, 0, 2)), _diag(F, (3, -2, -1))))
         unip = SL3Apartment(_unipotent(0))
         assert MODEL.same_apartment(STD, diag)
         assert MODEL.same_apartment(diag, swapped)
