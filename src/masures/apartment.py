@@ -14,10 +14,14 @@ Everything is exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import DegenerateSegment, DimensionMismatch, EmptyInput, NotARealRoot
@@ -297,6 +301,70 @@ def enclosure_of(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _integer_forms(
+    rgs: RootGeneratingSystem, height_bound: int
+) -> tuple[int, tuple[tuple[Root, tuple[int, ...]], ...]]:
+    """The positive roots in coordinate order, each with its form as an
+    integer row over one common denominator, and that denominator."""
+    roots = sorted(positive_roots(rgs, height_bound), key=lambda r: r.coords)
+    denom = math.lcm(*(c.denominator for r in roots for c in r.form))
+    return denom, tuple(
+        (r, tuple(c.numerator * (denom // c.denominator) for c in r.form)) for r in roots
+    )
+
+
+def segment_values(
+    rgs: RootGeneratingSystem, a: Sequence, b: Sequence, height_bound: int
+) -> tuple[int, tuple[tuple[Root, int, int], ...]]:
+    """Every positive root's values at a and b as integers over one
+    denominator m: returns m and the triples (root, m alpha(a), m alpha(b)),
+    in coordinate order."""
+    a = _as_point(rgs, a)
+    b = _as_point(rgs, b)
+    if a == b:
+        raise DegenerateSegment("walls_crossed of a single point")
+    denom, rows = _integer_forms(rgs, height_bound)
+    scale = math.lcm(*(x.denominator for x in a + b))
+    ia = [x.numerator * (scale // x.denominator) for x in a]
+    ib = [x.numerator * (scale // x.denominator) for x in b]
+    return denom * scale, tuple(
+        (root, sum(r * x for r, x in zip(row, ia)), sum(r * x for r, x in zip(row, ib)))
+        for root, row in rows
+    )
+
+
+def crossing_groups(
+    m: int, values: Sequence[tuple[Root, int, int]]
+) -> Iterator[tuple[Q, tuple[Wall, ...]]]:
+    """The walls the open segment crosses, lazily, grouped by time.
+
+    `m` and `values` are as `segment_values` returns them.  A root whose
+    values differ crosses the walls at the multiples of m strictly between
+    them, at times forming one arithmetic run; the runs are merged on
+    integer keys over the lcm of their spans, so a `Fraction` is built only
+    for a time that is yielded.  Walls in a group come in coordinate order.
+    """
+    spans = [(i, va, vb) for i, (_, va, vb) in enumerate(values) if va != vb]
+    common = math.lcm(*(abs(vb - va) for _, va, vb in spans))
+    runs = []
+    for i, va, vb in spans:
+        sign = 1 if vb > va else -1
+        lo, hi = sign * va, sign * vb
+        # multiples j m of m with lo < j m < hi, reached at time (j m - lo) / (hi - lo)
+        first, last = lo // m + 1, -(-hi // m) - 1
+        if first > last:
+            continue
+        unit = common // (hi - lo)
+        runs.append(zip(
+            range((first * m - lo) * unit, (last * m - lo) * unit + 1, m * unit),
+            repeat(i),
+            range(-sign * first, -sign * (last + 1), -sign),
+        ))
+    for key, group in groupby(heapq.merge(*runs), key=itemgetter(0)):
+        yield Q(key, common), tuple(Wall(values[i][0], level) for _, i, level in group)
+
+
 def walls_crossed(
     rgs: RootGeneratingSystem, a: Sequence, b: Sequence, height_bound: int
 ) -> tuple[tuple[Q, tuple[Wall, ...]], ...]:
@@ -305,26 +373,11 @@ def walls_crossed(
     Only transversal crossings count: a wall containing the whole segment
     is never "crossed".  Times are exact rationals in (0, 1), sorted, each
     with the walls met at that time (several when the segment passes
-    through a point on more than one wall).
+    through a point on more than one wall), in coordinate order.  This is
+    the whole of the lazy scan `crossing_groups`, which callers that stop
+    at the first crossing of interest iterate instead.
     """
-    a = _as_point(rgs, a)
-    b = _as_point(rgs, b)
-    if a == b:
-        raise DegenerateSegment("walls_crossed of a single point")
-    groups: dict[Q, list[Wall]] = {}
-    for root in positive_roots(rgs, height_bound):
-        va, vb = root.value(a), root.value(b)
-        if va == vb:
-            continue
-        lo, hi = min(va, vb), max(va, vb)
-        # integer k with lo < -k < hi
-        for k in range(math.floor(-hi) + 1, math.ceil(-lo)):
-            t = (va + k) / (va - vb)
-            groups.setdefault(t, []).append(Wall(root, k))
-    return tuple(
-        (t, tuple(sorted(ws, key=lambda w: (w.root.coords, w.level))))
-        for t, ws in sorted(groups.items())
-    )
+    return tuple(crossing_groups(*segment_values(rgs, a, b, height_bound)))
 
 
 def generic_position(

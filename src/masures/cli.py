@@ -303,6 +303,8 @@ def _fill_config(raw: dict):
             raise _CliError("BadConfig", f"config {key} must be an integer, not {value!r}")
         if least is not None and value < least:
             raise _CliError("BadConfig", f"config {key} must be at least {least}, not {value}")
+    if "output" in config and not isinstance(config["output"], str):
+        raise _CliError("BadConfig", f"config output must be a file name, not {config['output']!r}")
     model = (TreeModel if kind == "tree" else SL3Model)(q=config["q"])
     config.setdefault("height_bound", model.root_height_bound)
     config.setdefault("length_bound", model.weyl_length_bound)

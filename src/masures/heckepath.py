@@ -7,6 +7,13 @@ incoming derivative d: the path is moving down through the wall and gets
 folded back up, which is exactly what retracting from the germ at minus
 infinity does to a segment.
 
+The seeded generators scan the tail's wall crossings lazily, in time
+order (`apartment.crossing_groups`), and stop at the first fold; the
+crossings of the folded tail are scanned afresh.  A mutant is planted in
+one pass: the scan records a resume point at each crossing the tail
+moves up through, and the chosen one is resumed by replaying the scan's
+fold draws on a fresh generator up to it and folding there.
+
 `verify_growth` checks the laws such paths obey: every one-sided derivative
 in the Weyl orbit of the initial one, every breakpoint a single legal
 reflection, derivatives increasing in dominance order, endpoint dominating
@@ -25,7 +32,7 @@ from fractions import Fraction as Q
 from typing import Sequence
 
 from . import linalg
-from .apartment import Wall, affine_reflect, walls_crossed
+from .apartment import Wall, affine_reflect, crossing_groups, segment_values
 from .errors import (
     DegenerateSegment,
     DimensionMismatch,
@@ -328,20 +335,12 @@ def verify_growth(
     )
 
 
-@dataclass(frozen=True)
-class FoldRecord:
-    time: Q
-    wall: Wall
-    legal: bool
-
-
 def _generic_for_scan(rgs: RootGeneratingSystem, a: Vector, b: Vector, height_bound: int) -> bool:
     """No wall carries the segment and no time meets two walls at once."""
-    for root in positive_roots(rgs, height_bound):
-        va = root.value(a)
-        if va == root.value(b) and va.denominator == 1:
-            return False
-    return all(len(walls) == 1 for _, walls in walls_crossed(rgs, a, b, height_bound))
+    m, values = segment_values(rgs, a, b, height_bound)
+    if any(va == vb and va % m == 0 for _, va, vb in values):
+        return False
+    return all(len(walls) == 1 for _, walls in crossing_groups(m, values))
 
 
 def _perturbed_start(
@@ -363,64 +362,67 @@ def _perturbed_start(
     raise NonGenericSegment(f"no generic perturbation of {a!r} toward {b!r} found")
 
 
+def _fold(
+    rgs: RootGeneratingSystem,
+    times: list[Q],
+    points: list[Vector],
+    tail_to: Vector,
+    s: Q,
+    wall: Wall,
+) -> Vector:
+    """Fold the tail from the last knot to `tail_to` across `wall`, which it
+    crosses at time s of the tail: append the fold as a knot and return the
+    reflected end of the tail."""
+    t0, tail_from = times[-1], points[-1]
+    times.append(t0 + s * (1 - t0))
+    points.append(linalg.add(tail_from, linalg.scale(s, linalg.sub(tail_to, tail_from))))
+    return affine_reflect(rgs, wall.root, wall.level, tail_to)
+
+
 def _scan_and_fold(
     rgs: RootGeneratingSystem,
     rng: random.Random,
-    a: Vector,
-    b: Vector,
     height_bound: int,
     p: Q,
-    illegal_target: int | None,
-) -> tuple[PLPath, list[FoldRecord], Q | None, int]:
-    """One forward pass.  Legal single-wall crossings fold with probability
-    p; when `illegal_target` is the running index of an illegal-direction
-    crossing, that one is folded too.  Returns the path, the fold records,
-    the time of the illegal fold if any, and how many illegal-direction
-    crossings were seen."""
-    times = [Q(0)]
-    points = [a]
-    tail_from, tail_to = a, b
-    t0 = Q(0)
-    folds: list[FoldRecord] = []
-    mutant_time = None
-    illegal_seen = 0
+    times: list[Q],
+    points: list[Vector],
+    tail_to: Vector,
+    resumes: list | None = None,
+) -> PLPath:
+    """Scan the tail from the last knot to `tail_to` left to right and fold
+    it, in place, at each legal single-wall crossing with probability p,
+    recomputing the crossings of the new tail after each fold; then close
+    the path at time 1.
 
+    When `resumes` is a list, each illegal-direction crossing appends a
+    resume point to it: the number of knots so far, the tail's end, the
+    crossing time on the tail, its wall, and how many fold-probability
+    draws the scan had made.  Folding there after as many draws on a fresh
+    RNG continues the scan exactly as a pass that folded there would.
+    """
+    draws = 0
     while True:
-        if len(folds) > _FOLD_CAP:
+        if len(times) - 1 > _FOLD_CAP:
             raise RuntimeError("folding did not terminate within the fold cap")
-        groups = walls_crossed(rgs, tail_from, tail_to, height_bound)
-        acted = False
-        for s, walls in groups:
+        m, values = segment_values(rgs, points[-1], tail_to, height_bound)
+        # roots negative on the tail's direction: folding at their walls is legal
+        falling = {root.coords for root, va, vb in values if vb < va}
+        for s, walls in crossing_groups(m, values):
             if len(walls) > 1:
                 continue
-            wall = walls[0].positive()
-            t = t0 + s * (1 - t0)
-            direction = linalg.sub(tail_to, tail_from)
-            legal = wall.root.value(direction) < 0
-            if legal:
-                if rng.randrange(p.denominator) >= p.numerator:
-                    continue
-            else:
-                hit = illegal_seen == illegal_target
-                illegal_seen += 1
-                if not hit:
-                    continue
-                mutant_time = t
-            x = linalg.add(tail_from, linalg.scale(s, direction))
-            times.append(t)
-            points.append(x)
-            folds.append(FoldRecord(t, wall, legal))
-            tail_from = x
-            tail_to = affine_reflect(rgs, wall.root, wall.level, tail_to)
-            t0 = t
-            acted = True
+            wall = walls[0]
+            if wall.root.coords in falling:
+                draws += 1
+                if rng.randrange(p.denominator) < p.numerator:
+                    break
+            elif resumes is not None:
+                resumes.append((len(times), tail_to, s, wall, draws))
+        else:
             break
-        if not acted:
-            break
-
+        tail_to = _fold(rgs, times, points, tail_to, s, wall)
     times.append(Q(1))
     points.append(tail_to)
-    return PLPath(tuple(times), tuple(points)), folds, mutant_time, illegal_seen
+    return PLPath(tuple(times), tuple(points))
 
 
 def _start_scan(
@@ -465,8 +467,7 @@ def random_folded_path(
     each fold.  Deterministic in the seed.
     """
     p, a, b, _, scan_seed = _start_scan(rgs, seed, a, b, height_bound, fold_probability)
-    path, _, _, _ = _scan_and_fold(rgs, random.Random(scan_seed), a, b, height_bound, p, None)
-    return path
+    return _scan_and_fold(rgs, random.Random(scan_seed), height_bound, p, [Q(0)], [a], b)
 
 
 def mutated_folded_path(
@@ -486,13 +487,15 @@ def mutated_folded_path(
     scan meets no illegal-direction crossing.
     """
     p, a, b, rng, scan_seed = _start_scan(rgs, seed, a, b, height_bound, fold_probability)
-    _, _, _, illegal_seen = _scan_and_fold(
-        rgs, random.Random(scan_seed), a, b, height_bound, p, None
-    )
-    if illegal_seen == 0:
+    times, points, resumes = [Q(0)], [a], []
+    _scan_and_fold(rgs, random.Random(scan_seed), height_bound, p, times, points, b, resumes)
+    if not resumes:
         return None
-    target = rng.randrange(illegal_seen)
-    path, _, mutant_time, _ = _scan_and_fold(
-        rgs, random.Random(scan_seed), a, b, height_bound, p, target
-    )
-    return path, mutant_time
+    knots, tail_to, s, wall, draws = resumes[rng.randrange(len(resumes))]
+    scan_rng = random.Random(scan_seed)
+    for _ in range(draws):
+        scan_rng.randrange(p.denominator)
+    times, points = times[:knots], points[:knots]
+    tail_to = _fold(rgs, times, points, tail_to, s, wall)
+    planted = times[-1]
+    return _scan_and_fold(rgs, scan_rng, height_bound, p, times, points, tail_to), planted

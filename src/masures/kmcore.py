@@ -455,6 +455,7 @@ def enumerate_real_roots(rgs: RootGeneratingSystem, height_bound: int) -> tuple[
     return tuple(sorted(everything, key=lambda r: (r.height, r.coords)))
 
 
+@functools.lru_cache(maxsize=None)
 def positive_roots(rgs: RootGeneratingSystem, height_bound: int) -> tuple[Root, ...]:
     return tuple(r for r in enumerate_real_roots(rgs, height_bound) if r.is_positive)
 
@@ -571,6 +572,15 @@ def tits_preorder(
     return UNKNOWN
 
 
+@functools.lru_cache(maxsize=None)
+def _coroot_solver(rgs: RootGeneratingSystem) -> Matrix:
+    """A left inverse of the coroot matrix C (columns the simple coroots),
+    (C^T C)^-1 C^T: it sends a combination of the coroots to its
+    coefficients, unique because the coroots are free."""
+    gram = linalg.matmul(rgs.simple_coroots, tuple(zip(*rgs.simple_coroots)))
+    return linalg.matmul(linalg.invert(gram), rgs.simple_coroots)
+
+
 def dominance_compare(rgs: RootGeneratingSystem, x: Vector, y: Vector) -> str:
     """Compare in the coroot cone: x <= y iff y - x is a nonnegative
     rational combination of the simple coroots (unique by freeness)."""
@@ -579,9 +589,8 @@ def dominance_compare(rgs: RootGeneratingSystem, x: Vector, y: Vector) -> str:
     if x == y:
         return EQ
     d = linalg.sub(y, x)
-    cols = tuple(zip(*rgs.simple_coroots))  # dim x n system
-    sol = linalg.solve(cols, d)
-    if sol is None or linalg.vecmat(sol, rgs.simple_coroots) != d:
+    sol = linalg.matvec(_coroot_solver(rgs), d)
+    if linalg.vecmat(sol, rgs.simple_coroots) != d:
         return INCOMPARABLE
     if all(c >= 0 for c in sol):
         return LE
@@ -592,8 +601,7 @@ def dominance_compare(rgs: RootGeneratingSystem, x: Vector, y: Vector) -> str:
 
 def coroot_coordinates(rgs: RootGeneratingSystem, v: Vector) -> Vector | None:
     """v as a rational combination of simple coroots, or None."""
-    cols = tuple(zip(*rgs.simple_coroots))
-    sol = linalg.solve(cols, v)
-    if sol is None or linalg.vecmat(sol, rgs.simple_coroots) != v:
+    sol = linalg.matvec(_coroot_solver(rgs), v)
+    if linalg.vecmat(sol, rgs.simple_coroots) != v:
         return None
     return sol

@@ -6,6 +6,7 @@ those frozen facts anchor the suite, and hypothesis covers the general
 properties of enclosures on A2.
 """
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -23,11 +24,13 @@ from masures.apartment import (
     Wall,
     affine_identity,
     affine_reflect,
+    crossing_groups,
     empty_set,
     enclosure_of,
     generic_position,
     minus_infinity,
     plus_infinity,
+    segment_values,
     translation,
     wall_reflection,
     walls_crossed,
@@ -37,6 +40,8 @@ from masures.errors import DegenerateSegment, EmptyInput
 from masures.kmcore import (
     default_realization,
     enumerate_real_roots,
+    positive_roots,
+    realization,
     simple_root,
     validate_matrix,
     weyl_identity,
@@ -250,6 +255,136 @@ class TestWallsCrossed:
     def test_degenerate(self):
         with pytest.raises(DegenerateSegment):
             walls_crossed(A1, (Q(0),), (Q(0),), 1)
+
+
+# -- the lazy scan against a brute-force oracle --------------------------------------
+
+B2 = default_realization(validate_matrix([[2, -1], [-2, 2]]))
+G2 = default_realization(validate_matrix([[2, -1], [-3, 2]]))
+A3 = default_realization(validate_matrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+AFF = default_realization(validate_matrix([[2, -2], [-2, 2]]))
+# A2 on the coroots 2 e_0, 2 e_1, so the forms (1, -1/2), (-1/2, 1) carry halves
+A2_HALVES = realization(
+    validate_matrix([[2, -1], [-1, 2]]),
+    [(2, 0), (0, 2)],
+    [(1, Q(-1, 2)), (Q(-1, 2), 1)],
+)
+
+# (system, saturated height, a height below saturation or None)
+CROSSING_SYSTEMS = (
+    (A1, 1, None),
+    (A2, 2, 1),
+    (B2, 3, 1),
+    (G2, 5, 2),
+    (A3, 3, 2),
+    (AFF, 3, 1),
+    (A2_HALVES, 2, 1),
+)
+CROSSING_IDS = ("A1", "A2", "B2", "G2", "A3", "affA1", "A2-halves")
+
+
+def crossings_oracle(rgs, a, b, height):
+    """Every positive root evaluated with Fraction, every integer level
+    strictly between its two values, grouped by exact crossing time."""
+    groups = {}
+    for root in positive_roots(rgs, height):
+        va, vb = root.value(a), root.value(b)
+        if va == vb:
+            continue
+        n = math.floor(min(va, vb)) + 1
+        while n < max(va, vb):
+            groups.setdefault((n - va) / (vb - va), []).append((root.coords, -n))
+            n += 1
+    return [(t, sorted(ws)) for t, ws in sorted(groups.items())]
+
+
+def as_keys(groups):
+    return [(t, [(w.root.coords, w.level) for w in ws]) for t, ws in groups]
+
+
+def random_point(rng, dim):
+    return tuple(Q(rng.randrange(-12, 13), rng.choice((1, 2, 3, 5, 7))) for _ in range(dim))
+
+
+def onto_wall(root, p):
+    """p moved along the coroot onto the wall M(root, -floor(root(p)))."""
+    value = root.value(p)
+    shift = (math.floor(value) - value) / 2  # root(coroot) = 2
+    return tuple(x + shift * c for x, c in zip(p, root.coroot))
+
+
+class TestCrossingGroups:
+    def check(self, rgs, a, b, height):
+        expected = crossings_oracle(rgs, a, b, height)
+        assert as_keys(walls_crossed(rgs, a, b, height)) == expected
+        first = next(crossing_groups(*segment_values(rgs, a, b, height)), None)
+        assert as_keys([first] if first else []) == expected[:1]
+        return expected
+
+    @pytest.mark.parametrize("rgs,saturated,low", CROSSING_SYSTEMS, ids=CROSSING_IDS)
+    def test_matches_the_oracle(self, rgs, saturated, low):
+        rng = random.Random(saturated)
+        crossed = 0
+        for height in (saturated, low):
+            if height is None:
+                continue
+            for _ in range(100):
+                a, b = random_point(rng, rgs.dim), random_point(rng, rgs.dim)
+                if a != b:
+                    crossed += bool(self.check(rgs, a, b, height))
+        assert crossed > 80
+
+    @pytest.mark.parametrize("rgs,saturated,low", CROSSING_SYSTEMS, ids=CROSSING_IDS)
+    def test_endpoints_on_walls_are_excluded(self, rgs, saturated, low):
+        rng = random.Random(100 + saturated)
+        roots = positive_roots(rgs, saturated)
+        for _ in range(60):
+            a = onto_wall(rng.choice(roots), random_point(rng, rgs.dim))
+            b = onto_wall(rng.choice(roots), random_point(rng, rgs.dim))
+            if a != b:
+                self.check(rgs, a, b, saturated)
+
+    @pytest.mark.parametrize("rgs,saturated,low", CROSSING_SYSTEMS[1:], ids=CROSSING_IDS[1:])
+    def test_segments_inside_a_wall(self, rgs, saturated, low):
+        rng = random.Random(200 + saturated)
+        crossed = 0
+        for _ in range(60):
+            root = rng.choice(positive_roots(rgs, saturated))
+            # a direction the form kills: two coordinates of the form, swapped
+            i, j = rng.sample(range(rgs.dim), 2)
+            v = [Q(0)] * rgs.dim
+            v[i], v[j] = root.form[j], -root.form[i]
+            a = onto_wall(root, random_point(rng, rgs.dim))
+            step = rng.randrange(1, 4)
+            b = tuple(x + step * y for x, y in zip(a, v))
+            if a == b:
+                continue
+            groups = self.check(rgs, a, b, saturated)
+            assert all(coords != root.coords for _, ws in groups for coords, _ in ws)
+            crossed += bool(groups)
+        assert crossed > 20
+
+    @pytest.mark.parametrize("rgs,saturated,low", CROSSING_SYSTEMS[1:], ids=CROSSING_IDS[1:])
+    def test_segments_through_a_vertex(self, rgs, saturated, low):
+        # every root is integral at an integral point c of these
+        # realizations, so a segment through c meets all its walls at once
+        rng = random.Random(300 + saturated)
+        for _ in range(40):
+            c = tuple(Q(2 * rng.randrange(-2, 3)) for _ in range(rgs.dim))
+            a = random_point(rng, rgs.dim)
+            b = tuple(2 * z - x for z, x in zip(c, a))
+            if a == b:
+                continue
+            groups = self.check(rgs, a, b, saturated)
+            moving = sum(r.value(a) != r.value(b) for r in positive_roots(rgs, saturated))
+            assert (Q(1, 2), moving) in [(t, len(ws)) for t, ws in groups]
+
+    def test_fractional_forms_share_one_denominator(self):
+        a, b = (Q(1, 3), Q(0)), (Q(0), Q(5, 7))
+        m, values = segment_values(A2_HALVES, a, b, 2)
+        assert m == 2 * 21
+        for root, va, vb in values:
+            assert (Q(va, m), Q(vb, m)) == (root.value(a), root.value(b))
 
 
 class TestGenericPosition:

@@ -326,6 +326,8 @@ class TestVerifyTheorem:
             ({"model": "tree", "trials": 1, "seed": 1, "window_radius": 0}, "window_radius"),
             ({"model": "tree", "trials": 1, "seed": 1, "height_bound": 1.0}, "height_bound"),
             ({"model": "sl3", "trials": 1, "seed": 1, "length_bound": 0}, "length_bound"),
+            ({"model": "tree", "trials": 1, "seed": 1, "output": 2}, "output"),
+            ({"model": "tree", "trials": 1, "seed": 1, "output": ["x"]}, "output"),
         ],
     )
     def test_malformed_config_is_a_bad_config(self, capsys, tmp_path, config, key):

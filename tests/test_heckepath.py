@@ -7,9 +7,13 @@ truncation behavior: a witness that needs a height-3 root must turn the
 verdict INCONCLUSIVE, not PASS or FAIL, when the search stops at height 1.
 """
 
+import hashlib
+import random
 from fractions import Fraction as Q
 
 import pytest
+
+from masures.apartment import affine_reflect, walls_crossed
 
 from masures.errors import (
     DegenerateSegment,
@@ -22,6 +26,7 @@ from masures.heckepath import (
     INCONCLUSIVE,
     PASS,
     PLPath,
+    _start_scan,
     derivatives,
     fold_tail,
     mutated_folded_path,
@@ -236,3 +241,103 @@ class TestGenerators:
     def test_degenerate_endpoints_rejected(self):
         with pytest.raises(DegenerateSegment):
             random_folded_path(A1, 0, (Q(1),), (Q(1),), 1)
+
+
+# -- the one-pass mutant and the lazy scan, pinned -------------------------------------
+
+G2 = default_realization(validate_matrix([[2, -1], [-3, 2]]))
+# (system, saturation height, Weyl length bound), as the Hecke benchmark draws them
+PINNED_SYSTEMS = ((A2, 2, 3), (B2, 3, 4), (G2, 5, 6))
+
+
+def pinned_segments():
+    """150 seeded segments per system, each with its folding seed."""
+    rng = random.Random(6060)
+    for rgs, height, length in PINNED_SYSTEMS:
+        for _ in range(150):
+            while True:
+                a = tuple(Q(rng.randrange(-8, 9), rng.randrange(1, 5)) for _ in range(2))
+                b = tuple(Q(rng.randrange(-8, 9), rng.randrange(1, 5)) for _ in range(2))
+                if a != b:
+                    break
+            yield rgs, height, length, a, b, rng.getrandbits(32)
+
+
+def two_pass_mutant(rgs, seed, a, b, height_bound, fold_probability=Q(1, 2)):
+    """The mutant as two full scans plant it: count the illegal-direction
+    crossings, draw one, then scan again from the start folding there too.
+    Also returns the first scan's path, the plain folded path."""
+    p, a, b, rng, scan_seed = _start_scan(rgs, seed, a, b, height_bound, fold_probability)
+
+    def scan(target):
+        scan_rng = random.Random(scan_seed)
+        times, points = [Q(0)], [a]
+        tail_from, tail_to, t0 = a, b, Q(0)
+        planted, illegal_seen = None, 0
+        while True:
+            direction = tuple(y - x for x, y in zip(tail_from, tail_to))
+            for s, walls in walls_crossed(rgs, tail_from, tail_to, height_bound):
+                if len(walls) > 1:
+                    continue
+                wall = walls[0]
+                t = t0 + s * (1 - t0)
+                if wall.root.value(direction) < 0:
+                    if scan_rng.randrange(p.denominator) >= p.numerator:
+                        continue
+                else:
+                    illegal_seen += 1
+                    if illegal_seen - 1 != target:
+                        continue
+                    planted = t
+                tail_from = tuple(x + s * d for x, d in zip(tail_from, direction))
+                tail_to = affine_reflect(rgs, wall.root, wall.level, tail_to)
+                times.append(t)
+                points.append(tail_from)
+                t0 = t
+                break
+            else:
+                break
+        times.append(Q(1))
+        points.append(tail_to)
+        return PLPath(tuple(times), tuple(points)), planted, illegal_seen
+
+    folded, _, illegal_seen = scan(None)
+    if illegal_seen == 0:
+        return folded, None
+    mutant, planted, _ = scan(rng.randrange(illegal_seen))
+    return folded, (mutant, planted)
+
+
+class TestPinnedScan:
+    def test_one_pass_mutant_matches_the_two_pass_oracle(self):
+        nones = 0
+        for rgs, height, _, a, b, seed in pinned_segments():
+            for h in (height, 1):
+                folded, mutant = two_pass_mutant(rgs, seed, a, b, h)
+                assert random_folded_path(rgs, seed, a, b, h) == folded
+                assert mutated_folded_path(rgs, seed, a, b, h) == mutant, (a, b, seed, h)
+                nones += mutant is None
+        assert nones > 0
+
+    def test_outputs_hash_as_pinned(self):
+        """Crossings, folded paths, mutants and growth reports of the
+        pinned segments at saturation height and at height 1."""
+        digest = hashlib.sha256()
+        for rgs, height, length, a, b, seed in pinned_segments():
+            for h in (height, 1):
+                path = random_folded_path(rgs, seed, a, b, h)
+                out = mutated_folded_path(rgs, seed, a, b, h)
+                lines = [
+                    repr(walls_crossed(rgs, a, b, h)),
+                    repr((path.times, path.points, verify_growth(rgs, path, h, length))),
+                    "None" if out is None else repr(
+                        (out[0].times, out[0].points, out[1], verify_growth(rgs, out[0], h, length))
+                    ),
+                ]
+                for line in lines:
+                    digest.update(line.encode() + b"\n")
+        assert digest.hexdigest()[:16] == PINNED_DIGEST
+
+
+# computed by the eager two-pass scan this module's oracle reproduces
+PINNED_DIGEST = "1eb4bf32a79fc5a5"

@@ -7,6 +7,7 @@ out breadth-first.  Neither uses height pruning or provenance words.
 """
 
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -27,6 +28,7 @@ from masures.kmcore import (
     LE,
     LE_STRICT_INTERIOR,
     apply_to_root,
+    coroot_coordinates,
     default_realization,
     dominance_compare,
     enumerate_real_roots,
@@ -517,3 +519,45 @@ class TestDominance:
         zero = (Q(0), Q(0), Q(0))
         assert dominance_compare(rgs, zero, (Q(0), Q(0), Q(1))) == INCOMPARABLE
         assert dominance_compare(rgs, zero, (Q(1), Q(1), Q(0))) == LE
+
+    @pytest.mark.parametrize("rows", [A1, A2, B2, G2, A1_AFFINE, "skew affine"])
+    def test_cached_solver_matches_elimination(self, rows):
+        """coroot_coordinates and dominance_compare read one cached left
+        inverse; fresh Gaussian elimination must give the same answers."""
+        if rows == "skew affine":
+            # affine A1 on coroots that are neither basis vectors nor integral
+            rgs = realization(
+                validate_matrix(A1_AFFINE),
+                [(Q(1, 2), 1, 0), (0, 1, 1)],
+                [(4, 0, -2), (-2, -1, 3)],
+            )
+        else:
+            rgs = default_realization(validate_matrix(rows))
+
+        def eliminated(v):
+            sol = linalg.solve(tuple(zip(*rgs.simple_coroots)), v)
+            if sol is None or linalg.vecmat(sol, rgs.simple_coroots) != v:
+                return None
+            return sol
+
+        rng = random.Random(len(rgs.simple_coroots) * 10 + rgs.dim)
+        spanned = 0
+        for _ in range(200):
+            if rng.random() < 0.5:
+                coeffs = [Q(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in rgs.simple_coroots]
+                v = linalg.vecmat(tuple(coeffs), rgs.simple_coroots)
+            else:
+                v = tuple(Q(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(rgs.dim))
+            expected = eliminated(v)
+            assert coroot_coordinates(rgs, v) == expected
+            spanned += expected is not None
+            if all(x == 0 for x in v):
+                continue
+            order = dominance_compare(rgs, rgs.zero(), v)
+            if expected is not None and all(c >= 0 for c in expected):
+                assert order == LE
+            elif expected is not None and all(c <= 0 for c in expected):
+                assert order == GE
+            else:
+                assert order == INCOMPARABLE
+        assert spanned >= 100
