@@ -314,6 +314,85 @@ def _integer_forms(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class RootTable:
+    """Every positive root's value at each point of a fixed tuple, as
+    integers over one common denominator m.
+
+    `rows[i][c]` is m alpha_c(points[i]) for the c-th root of `roots`
+    (coordinate order); `opposites[c]` is -alpha_c as
+    `enumerate_real_roots` gives it.  `top` and `bottom` are the column
+    maxima and minima over all rows.
+    """
+
+    points: tuple[Vector, ...]
+    denom: int
+    roots: tuple[Root, ...]
+    opposites: tuple[Root, ...]
+    rows: tuple[tuple[int, ...], ...]
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
+
+    def bounds(self, positions: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Column maxima and minima over the rows at the positions."""
+        columns = list(zip(*(self.rows[i] for i in positions)))
+        return tuple(map(max, columns)), tuple(map(min, columns))
+
+    def enclosure_halves(self, positions: Sequence[int]) -> list[HalfApartment]:
+        """The halves `enclosure_of` finds for the points at the positions:
+        D(alpha, k) with k = -floor(min alpha(x)) for alpha and -alpha."""
+        m = self.denom
+        top, bottom = self.bounds(positions)
+        halves = []
+        for root, opposite, hi, lo in zip(self.roots, self.opposites, top, bottom):
+            halves.append(HalfApartment(root, -(lo // m)))
+            halves.append(HalfApartment(opposite, -(-hi // m)))
+        return halves
+
+    def half_tests(self, halves: Iterable[HalfApartment]) -> list[tuple[int, int, int]]:
+        """(column, sign, offset) per half: D(sign alpha_column, k) holds
+        the point of a row iff sign * row[column] + offset >= 0, where
+        offset is m k, less one for a strict half."""
+        index = {r.coords: c for c, r in enumerate(self.roots)}
+        tests = []
+        for h in halves:
+            sign = 1 if h.root.is_positive else -1
+            column = index[tuple(sign * c for c in h.root.coords)]
+            tests.append((column, sign, self.denom * h.level - h.strict))
+        return tests
+
+    def outside(self, tests: Sequence[tuple[int, int, int]], i: int) -> set[int]:
+        """Positions in `tests` of the halves that exclude the i-th point."""
+        row = self.rows[i]
+        return {j for j, (c, s, k) in enumerate(tests) if s * row[c] + k < 0}
+
+
+@functools.lru_cache(maxsize=None)
+def root_table(
+    rgs: RootGeneratingSystem, height_bound: int, points: tuple[Vector, ...]
+) -> RootTable:
+    """The `RootTable` of the positive roots of height <= height_bound at
+    the points, built once per process for each distinct argument."""
+    denom, forms = _integer_forms(rgs, height_bound)
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    opposite = {r.coords: r for r in enumerate_real_roots(rgs, height_bound)}
+    rows = tuple(
+        tuple(sum(f * x.numerator * (scale // x.denominator) for f, x in zip(form, p))
+              for _, form in forms)
+        for p in points
+    )
+    columns = list(zip(*rows))
+    return RootTable(
+        points,
+        denom * scale,
+        tuple(r for r, _ in forms),
+        tuple(opposite[tuple(-c for c in r.coords)] for r, _ in forms),
+        rows,
+        tuple(map(max, columns)),
+        tuple(map(min, columns)),
+    )
+
+
 def segment_values(
     rgs: RootGeneratingSystem, a: Sequence, b: Sequence, height_bound: int
 ) -> tuple[int, tuple[tuple[Root, int, int], ...]]:

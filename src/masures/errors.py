@@ -69,6 +69,12 @@ class PrecisionExhausted(MasureError, ArithmeticError):
     """
 
 
+class InvalidWindow(MasureError, ValueError):
+    """A sampling window radius below 1.  A negative window holds no
+    special point, so a verdict on it would claim an empty intersection
+    that was never sampled; 1 is also the least `verify-theorem` accepts."""
+
+
 class WindowTooSmall(MasureError):
     """An apartment intersection touches the sampling window on all sides.
 

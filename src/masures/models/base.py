@@ -13,10 +13,19 @@ it is convex and holds every member, and a sample it separates from the
 non-members is convex too.  A convexity witness is searched for only
 among the non-members inside the fit, that is, only when the fit fails.
 
+Root values at the window's special points come from one integer table
+per window (`apartment.root_table`, cached per process on the root
+system, the height bound and the points): the window test, the fit
+levels, the pruning of window-clip halves and the search for non-members
+inside the fit compare integers m alpha(v) read off it.  `Fraction`
+arithmetic is left to the canonicalization of the fitted set, the
+intertwiner search and the convexity witness.
+
 All verification is windowed: a verdict certifies the window, nothing
 beyond it.  When the window cannot tell the intersection apart from a
 bigger set (it touches the boundary in every root direction), the check
-refuses to answer and raises WindowTooSmall instead.
+refuses to answer and raises WindowTooSmall instead.  A window radius
+below 1 raises InvalidWindow.
 """
 
 from __future__ import annotations
@@ -31,15 +40,22 @@ from .. import linalg
 from ..apartment import (
     AffineWeylElement,
     EnclosedSet,
+    RootTable,
     SectorGerm,
     empty_set,
-    enclosure_of,
     minus_infinity,
     plus_infinity,
+    root_table,
     walls_crossed,
     whole_apartment,
 )
-from ..errors import DegenerateSegment, DimensionMismatch, MasureError, WindowTooSmall
+from ..errors import (
+    DegenerateSegment,
+    DimensionMismatch,
+    InvalidWindow,
+    MasureError,
+    WindowTooSmall,
+)
 from ..heckepath import FAIL, PASS, PLPath
 from ..kmcore import (
     RootGeneratingSystem,
@@ -175,60 +191,92 @@ def intersect_with_standard(
     never admits a non-member, so checking after it finds the same ones.
     """
     rgs = model.rgs
-    _, pairs, misses = _sample(model, model.standard_apartment(), apartment, window_radius)
+    table, pairs, misses = _sample(model, model.standard_apartment(), apartment, window_radius)
     if not pairs:
         return ((), empty_set(rgs), True)
-    hits = tuple(v for v, _ in pairs)
-    fitted = _fit(model, hits, misses, identical=False)
-    for v in misses:
-        if fitted.contains(v):
-            raise MasureError(f"non-member {v!r} inside the fitted enclosure")
-    return (hits, fitted, fitted.exact)
+    fitted = _fit(model, table, [i for i, _ in pairs], misses, identical=False)
+    bad = _fit_bad(table, fitted, misses)
+    if bad:
+        raise MasureError(f"non-member {table.points[bad[0]]!r} inside the fitted enclosure")
+    return (tuple(table.points[i] for i, _ in pairs), fitted, fitted.exact)
 
 
 def _sample(
     model: MasureModel, first, second, window_radius: int
-) -> tuple[tuple[Vector, ...], list[tuple[Vector, Vector]], list[Vector]]:
-    """The window's special points charted through `first`, split into
-    (coordinates, coordinates in `second`) pairs and non-members."""
+) -> tuple[RootTable, list[tuple[int, Vector]], list[int]]:
+    """The window's special points charted through `first` and tested for
+    membership in `second`.  Returns the window's root table, whose
+    `points` are the special points, the positions of the members each
+    with its coordinates in `second`, and the positions of the
+    non-members."""
+    if window_radius < 1:
+        raise InvalidWindow(f"window radius must be at least 1, not {window_radius}")
     specials = model.special_points(window_radius)
     pairs = []
     misses = []
-    for v in specials:
+    for i, v in enumerate(specials):
         y = model.apartment_coords(second, model.chart(first, v))
         if y is None:
-            misses.append(v)
+            misses.append(i)
         else:
-            pairs.append((v, y))
-    return specials, pairs, misses
+            pairs.append((i, y))
+    return root_table(model.rgs, model.root_height_bound, specials), pairs, misses
 
 
 def _fit(
-    model: MasureModel, hits: Sequence[Vector], misses: Sequence[Vector], identical: bool
+    model: MasureModel,
+    table: RootTable,
+    hits: Sequence[int],
+    misses: Sequence[int],
+    identical: bool,
 ) -> EnclosedSet:
     """Enclosure of the hits, or the whole apartment when the two
     apartments are equal as sets, less the halves that only record the
-    window's clipping."""
+    window's clipping.  Hits and misses are positions in the table."""
     rgs = model.rgs
-    fitted = whole_apartment(rgs) if identical else enclosure_of(rgs, hits, model.root_height_bound)
-    return _prune_window_clip(rgs, fitted, misses)
+    height = model.root_height_bound
+    if identical:
+        fitted = whole_apartment(rgs)
+    else:
+        fitted = EnclosedSet(
+            rgs,
+            table.enclosure_halves(hits),
+            truncated_at=height,
+            exact=roots_saturated(rgs, height),
+        )
+    return _prune_window_clip(table, fitted, misses)
 
 
 def _prune_window_clip(
-    rgs: RootGeneratingSystem, fitted: EnclosedSet, misses: Sequence[Vector]
+    table: RootTable, fitted: EnclosedSet, misses: Sequence[int]
 ) -> EnclosedSet:
     """Drop halves that exclude no sampled non-member given the rest.
 
     Such a half only records the clipping of the sample by the window.  A
     non-member inside the fit blocks every drop, so the loop never admits
-    one and leaves a failing fit untouched.
+    one and leaves a failing fit untouched.  A non-member lies in the rest
+    exactly when every half excluding it is the one tested or one already
+    dropped.
     """
     kept = sorted(fitted.halves, key=lambda h: (h.root.coords, h.level))
-    for h in list(kept):
-        rest = [o for o in kept if o is not h]
-        if not any(all(o.contains(v) for o in rest) for v in misses):
-            kept = rest
-    return EnclosedSet(rgs, kept, truncated_at=fitted.truncated_at, exact=fitted.exact)
+    tests = table.half_tests(kept)
+    outside = [table.outside(tests, i) for i in misses]
+    dropped: set[int] = set()
+    for j in range(len(kept)):
+        if not any(out <= dropped | {j} for out in outside):
+            dropped.add(j)
+    return EnclosedSet(
+        fitted.rgs,
+        [h for j, h in enumerate(kept) if j not in dropped],
+        truncated_at=fitted.truncated_at,
+        exact=fitted.exact,
+    )
+
+
+def _fit_bad(table: RootTable, fitted: EnclosedSet, misses: Sequence[int]) -> list[int]:
+    """Positions of the non-members inside the fit."""
+    tests = table.half_tests(fitted.halves)
+    return [i for i in misses if not table.outside(tests, i)]
 
 
 @dataclass(frozen=True)
@@ -261,18 +309,9 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _touches_all_sides(
-    rgs: RootGeneratingSystem,
-    height_bound: int,
-    hits: Sequence[Vector],
-    specials: Sequence[Vector],
-) -> bool:
-    for root in positive_roots(rgs, height_bound):
-        for sign in (1, -1):
-            top = max(sign * root.value(v) for v in specials)
-            if max(sign * root.value(v) for v in hits) < top:
-                return False
-    return True
+def _touches_all_sides(table: RootTable, hits: Sequence[int]) -> bool:
+    """The hits reach the window's extreme value of every root, both ways."""
+    return table.bounds(hits) == (table.top, table.bottom)
 
 
 def _between_hits(v: Vector, hits: Sequence[Vector]) -> tuple[Vector, Vector] | None:
@@ -314,7 +353,7 @@ def check_MA2(
     """
     rgs = model.rgs
     identical = model.same_apartment(first, second)
-    specials, pairs, misses = _sample(model, first, second, window_radius)
+    table, pairs, misses = _sample(model, first, second, window_radius)
 
     if not pairs:
         checks = (
@@ -331,19 +370,21 @@ def check_MA2(
         )
         return VerificationReport(PASS, 1, checks, certificates)
 
-    xs = [x for x, _ in pairs]
-    if not identical and _touches_all_sides(rgs, model.root_height_bound, xs, specials):
+    positions = [i for i, _ in pairs]
+    if not identical and _touches_all_sides(table, positions):
         raise WindowTooSmall(
             f"intersection fills the window of radius {window_radius} in every direction"
         )
 
-    fitted = _fit(model, xs, misses, identical)
-    fit_bad = [v for v in misses if fitted.contains(v)]
+    fitted = _fit(model, table, positions, misses, identical)
+    fit_bad = [table.points[i] for i in _fit_bad(table, fitted, misses)]
+    xs = [table.points[i] for i in positions]
+    ys = [y for _, y in pairs]
     enclosure_check = CheckOutcome(
         "enclosure-fit",
         FAIL if fit_bad else PASS,
         f"non-member {fit_bad[0]!r} inside the fitted set" if fit_bad else
-        f"{len(xs)} members match the fit on {len(specials)} sampled points",
+        f"{len(xs)} members match the fit on {len(table.points)} sampled points",
     )
 
     convex_bad = None
@@ -360,14 +401,14 @@ def check_MA2(
     )
 
     intertwiner = None
-    x0, y0 = pairs[0]
+    x0, y0 = xs[0], ys[0]
     for w in weyl_ball(rgs, model.weyl_length_bound):
         tau = linalg.sub(y0, w.act(x0))
         coords = coroot_coordinates(rgs, tau)
         if coords is None or any(c.denominator != 1 for c in coords):
             continue
         candidate = AffineWeylElement(w, tau)
-        if all(candidate.apply(x) == y for x, y in pairs):
+        if all(candidate.apply(x) == y for x, y in zip(xs, ys)):
             intertwiner = candidate
             break
     intertwiner_check = CheckOutcome(

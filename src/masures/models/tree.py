@@ -16,6 +16,7 @@ Weyl group).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -52,7 +53,8 @@ class TreeEnd:
         return self.prefix[i] if i < len(self.prefix) else self.repeat
 
     def ray_vertex(self, depth: int) -> Word:
-        return tuple(self.letter(i) for i in range(depth))
+        # a negative count repeats nothing
+        return self.prefix[:depth] + (self.repeat,) * (depth - len(self.prefix))
 
 
 @dataclass(frozen=True)
@@ -66,20 +68,23 @@ class TreeApartment:
         if self.minus == self.plus:
             raise MasureError("an apartment needs two distinct ends")
 
-    def divergence(self) -> Word:
+    @functools.cached_property
+    def depth(self) -> int:
+        """Depth of the vertex where the two ends' words diverge, which is
+        the line's vertex at coordinate `depth`."""
         i = 0
         while self.minus.letter(i) == self.plus.letter(i):
             i += 1
-        return self.plus.ray_vertex(i)
+        return i
 
     def vertex_at(self, n: int) -> Word:
-        m = len(self.divergence())
+        m = self.depth
         if n >= m:
             return self.plus.ray_vertex(n)
         return self.minus.ray_vertex(2 * m - n)
 
     def vertex_coord(self, word: Word) -> int | None:
-        m = len(self.divergence())
+        m = self.depth
         if len(word) < m:
             return None
         if word == self.plus.ray_vertex(len(word)):

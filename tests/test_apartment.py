@@ -30,6 +30,7 @@ from masures.apartment import (
     generic_position,
     minus_infinity,
     plus_infinity,
+    root_table,
     segment_values,
     translation,
     wall_reflection,
@@ -47,7 +48,8 @@ from masures.kmcore import (
     weyl_identity,
     weyl_word,
 )
-from masures.models.base import _between_hits, _prune_window_clip
+from masures.models import SL3Model, TreeModel
+from masures.models.base import _between_hits, _fit_bad, _prune_window_clip
 
 A1 = default_realization(validate_matrix([[2]]))
 A2 = default_realization(validate_matrix([[2, -1], [-1, 2]]))
@@ -157,6 +159,21 @@ class TestEnclosedSet:
         assert whole_apartment(A2).halves == ()
 
 
+GRID = tuple((Q(x), Q(y)) for x in range(-3, 4) for y in range(-3, 4))
+
+
+def hit_subsets():
+    """50 seeded (hits, misses) splits of GRID."""
+    rng = random.Random(5)
+    for _ in range(50):
+        hits = rng.sample(GRID, rng.randrange(1, len(GRID)))
+        yield hits, [v for v in GRID if v not in hits]
+
+
+def positions(points):
+    return [GRID.index(v) for v in points]
+
+
 class TestEnclosureOf:
     def test_a1_interval(self):
         s = enclosure_of(A1, [(Q(0),), (Q(3, 10),)], 1)
@@ -210,13 +227,10 @@ class TestEnclosureOf:
         halves, so the pruned fit is convex and holds every hit.  `check_MA2`
         searches for a convexity witness only inside the fit on that basis."""
         rgs = default_realization(validate_matrix(matrix))
-        grid = [(Q(x), Q(y)) for x in range(-3, 4) for y in range(-3, 4)]
-        rng = random.Random(5)
+        table = root_table(rgs, 6, GRID)
         witnessed = 0
-        for _ in range(50):
-            hits = rng.sample(grid, rng.randrange(1, len(grid)))
-            misses = [v for v in grid if v not in hits]
-            fitted = _prune_window_clip(rgs, enclosure_of(rgs, hits, 6), misses)
+        for hits, misses in hit_subsets():
+            fitted = _prune_window_clip(table, enclosure_of(rgs, hits, 6), positions(misses))
             for v in misses:
                 if _between_hits(v, hits) is not None:
                     witnessed += 1
@@ -385,6 +399,105 @@ class TestCrossingGroups:
         assert m == 2 * 21
         for root, va, vb in values:
             assert (Q(va, m), Q(vb, m)) == (root.value(a), root.value(b))
+
+
+# -- the window root table against Fraction evaluation ------------------------------
+
+
+def fraction_prune(rgs, fitted, misses):
+    """The window-clip prune read off `Fraction` root values, as the
+    oracle for the integer one."""
+    kept = sorted(fitted.halves, key=lambda h: (h.root.coords, h.level))
+    for h in list(kept):
+        rest = [o for o in kept if o is not h]
+        if not any(all(o.contains(v) for o in rest) for v in misses):
+            kept = rest
+    return EnclosedSet(rgs, kept, truncated_at=fitted.truncated_at, exact=fitted.exact)
+
+
+def check_table(rgs, height, points):
+    table = root_table(rgs, height, points)
+    roots = sorted(positive_roots(rgs, height), key=lambda r: r.coords)
+    assert table.roots == tuple(roots)
+    assert [r.coords for r in table.opposites] == [tuple(-c for c in r.coords) for r in roots]
+    m = table.denom
+    assert len(table.rows) == len(points)
+    for v, row in zip(points, table.rows):
+        assert list(row) == [m * r.value(v) for r in roots]
+    assert list(table.top) == [max(m * r.value(v) for v in points) for r in roots]
+    assert list(table.bottom) == [min(m * r.value(v) for v in points) for r in roots]
+
+
+TABLE_SYSTEMS = ((A2, 2), (B2, 3), (G2, 5), (A2_HALVES, 2))
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("radius", range(1, 17))
+    def test_tree_windows(self, radius):
+        model = TreeModel(q=2)
+        check_table(model.rgs, model.root_height_bound, model.special_points(radius))
+
+    @pytest.mark.parametrize("radius", range(1, 13))
+    def test_sl3_windows(self, radius):
+        model = SL3Model(q=2)
+        check_table(model.rgs, model.root_height_bound, model.special_points(radius))
+
+    @pytest.mark.parametrize("rgs, height", TABLE_SYSTEMS, ids=("A2", "B2", "G2", "A2-halves"))
+    def test_grids_and_fractional_points(self, rgs, height):
+        check_table(rgs, height, GRID)
+        rng = random.Random(41)
+        for _ in range(30):
+            count = rng.randrange(1, 12)
+            check_table(rgs, height, tuple(random_point(rng, 2) for _ in range(count)))
+
+    def test_fractional_forms_and_points_share_one_denominator(self):
+        table = root_table(A2_HALVES, 2, ((Q(1, 3), Q(0)), (Q(0), Q(5, 7))))
+        assert table.denom == 2 * 21
+
+    def test_table_is_built_once_per_window(self):
+        model = SL3Model(q=2)
+        first = root_table(model.rgs, 2, model.special_points(6))
+        assert root_table(SL3Model(q=2).rgs, 2, model.special_points(6)) is first
+
+    @pytest.mark.parametrize("rgs, height", TABLE_SYSTEMS, ids=("A2", "B2", "G2", "A2-halves"))
+    def test_fit_and_prune_match_the_fraction_oracle(self, rgs, height):
+        """Levels k = -floor(min alpha(x)) for every real root, the pruned
+        halves and the non-members inside the fit, integer path against
+        `enclosure_of` and the `Fraction` prune, on the hit subsets of
+        `test_pruned_fit_holds_every_miss_between_hits` and on grid points
+        cut out by a few random half-apartments, where pruning drops
+        halves one after another."""
+        table = root_table(rgs, height, GRID)
+        roots = enumerate_real_roots(rgs, height)
+        rng = random.Random(7)
+        cuts = []
+        while len(cuts) < 60:
+            cut = [HalfApartment(rng.choice(roots), rng.randrange(-2, 4)) for _ in range(rng.randrange(1, 4))]
+            hits = [v for v in GRID if all(h.contains(v) for h in cut)]
+            if 0 < len(hits) < len(GRID):
+                cuts.append((hits, [v for v in GRID if v not in hits]))
+        for hits, misses in list(hit_subsets()) + cuts:
+            halves = table.enclosure_halves(positions(hits))
+            assert set(halves) == {
+                HalfApartment(r, -math.floor(min(r.value(v) for v in hits)))
+                for r in enumerate_real_roots(rgs, height)
+            }
+            fit = enclosure_of(rgs, hits, height)
+            assert EnclosedSet(rgs, halves).halves == fit.halves
+            pruned = _prune_window_clip(table, fit, positions(misses))
+            expected = fraction_prune(rgs, fit, misses)
+            assert pruned.halves == expected.halves
+            inside = [v for v in misses if expected.contains(v)]
+            assert _fit_bad(table, pruned, positions(misses)) == positions(inside)
+
+    def test_strict_and_negative_halves(self):
+        table = root_table(A2_HALVES, 2, GRID)
+        halves = [HalfApartment(r, k, strict) for r in enumerate_real_roots(A2_HALVES, 2)
+                  for k in (-1, 0, 2) for strict in (False, True)]
+        tests = table.half_tests(halves)
+        for i, v in enumerate(GRID):
+            out = table.outside(tests, i)
+            assert out == {j for j, h in enumerate(halves) if not h.contains(v)}
 
 
 class TestGenericPosition:

@@ -351,6 +351,28 @@ class TestVerifyTheorem:
         b = serialize.dumps(run_campaign(dict(config)))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            ({"model": "tree", "q": 2, "trials": 300, "seed": 11}, "5d7dfafbd7c970af"),
+            ({"model": "sl3", "q": 2, "trials": 6, "seed": 13}, "dd1568c35bf891b4"),
+            ({"model": "sl3", "q": 3, "trials": 3, "seed": 21}, "04d11faaab3d08d5"),
+            ({"model": "sl3", "q": 4, "trials": 2, "seed": 22}, "ff36c39fe1d48d69"),
+            # each retries once and ends at window 12
+            ({"model": "sl3", "trials": 1, "seed": 179}, "bc4bf277de8b64ad"),
+            ({"model": "sl3", "trials": 1, "seed": 282}, "24f3957b067b2380"),
+            ({"model": "sl3", "trials": 1, "seed": 477}, "5b381430b17fa1f0"),
+        ],
+    )
+    def test_campaign_report_digests_are_pinned(self, config, digest):
+        import hashlib
+
+        report = run_campaign(dict(config))
+        if config["trials"] == 1:
+            assert report["summary"]["window_retries"] == 1
+            assert report["trials"][0]["window_radius"] == 12
+        assert hashlib.sha256(serialize.dumps(report).encode()).hexdigest()[:16] == digest
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

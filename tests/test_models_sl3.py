@@ -18,7 +18,7 @@ from masures.apartment import (
     minus_infinity,
     plus_infinity,
 )
-from masures.errors import MasureError, PrecisionExhausted
+from masures.errors import InvalidWindow, MasureError, PrecisionExhausted
 from masures.heckepath import PASS, verify_growth
 from masures.kmcore import simple_root, weyl_ball_complete, weyl_word
 from masures.models import (
@@ -508,6 +508,17 @@ class TestIntersections:
         tau = report.certificate("intertwiner")
         assert tau.linear.is_identity()
         assert tau.translation != (Q(0), Q(0))
+
+    @pytest.mark.parametrize("radius", [0, -1, -3])
+    def test_window_below_one_is_an_error(self, radius):
+        """A negative window holds no point; it must not read as an empty
+        intersection."""
+        ap = SL3Apartment(_unipotent(1))
+        with pytest.raises(InvalidWindow) as caught:
+            check_MA2(MODEL, STD, ap, radius)
+        assert isinstance(caught.value, ValueError)
+        with pytest.raises(InvalidWindow):
+            intersect_with_standard(MODEL, ap, radius)
 
     def test_random_pairs_pass(self):
         rng = random.Random(29)

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 import pytest
 
 from masures.apartment import HalfApartment, minus_infinity, plus_infinity
-from masures.errors import DegenerateSegment, MasureError, WindowTooSmall
+from masures.errors import DegenerateSegment, InvalidWindow, MasureError, WindowTooSmall
 from masures.heckepath import FAIL, PASS
 from masures.kmcore import simple_root
 from masures.models import (
@@ -115,13 +115,52 @@ class TestAddresses:
 
     def test_divergence_and_vertices(self):
         ap = TreeApartment(TreeEnd((2, 1, 2), 1), TreeEnd((2,), 1))
-        assert ap.divergence() == (2, 1)
+        assert ap.depth == 2
         assert ap.vertex_at(2) == (2, 1)
         assert ap.vertex_at(3) == (2, 1, 1)
         assert ap.vertex_at(1) == (2, 1, 2)
         assert ap.vertex_at(0) == (2, 1, 2, 1)
         assert ap.vertex_coord((2, 1, 1)) == 3
         assert ap.vertex_coord((1, 1)) is None
+
+    def test_words_match_the_per_letter_construction(self):
+        """Ray words, divergence depth, vertices and coordinates against
+        the letter-by-letter reading of the two ends."""
+
+        def ray_word(end, depth):
+            return tuple(end.letter(i) for i in range(depth))
+
+        def divergence_depth(ap):
+            i = 0
+            while ap.minus.letter(i) == ap.plus.letter(i):
+                i += 1
+            return i
+
+        rng = random.Random(23)
+        for _ in range(300):
+            q = rng.randrange(2, 5)
+
+            def random_end():
+                prefix = tuple(rng.randrange(0 if i == 0 else 1, q + 1) for i in range(rng.randrange(6)))
+                return TreeEnd(prefix, rng.randrange(1, q + 1))
+
+            minus, plus = random_end(), random_end()
+            if minus == plus:
+                continue
+            ap = TreeApartment(minus, plus)
+            m = divergence_depth(ap)
+            assert ap.depth == m
+            for depth in range(12):
+                assert plus.ray_vertex(depth) == ray_word(plus, depth)
+                assert minus.ray_vertex(depth) == ray_word(minus, depth)
+            for n in range(-8, 12):
+                word = ray_word(plus, n) if n >= m else ray_word(minus, 2 * m - n)
+                assert ap.vertex_at(n) == word
+                assert ap.vertex_coord(word) == n
+                # a sibling of the vertex, off the line unless it is the other ray's vertex
+                sibling = word[:-1] + (word[-1] % q + 1,) if word else ()
+                if sibling not in (ray_word(plus, len(sibling)), ray_word(minus, len(sibling))):
+                    assert ap.vertex_coord(sibling) is None
 
     def test_point_normalization(self):
         assert TreePoint((1,), 1, Q(0)) == TreePoint((1,), None, Q(0))
@@ -315,6 +354,17 @@ class TestCheckMA2:
         assert report.verdict == PASS
         assert report.certificate("empty") is True
         assert report.certificate("hits") == 0
+
+    @pytest.mark.parametrize("radius", [0, -1, -3])
+    def test_window_below_one_is_an_error(self, radius):
+        """A negative window holds no point; it must not read as an empty
+        intersection."""
+        ap = MODEL.random_apartment(3, 4)
+        with pytest.raises(InvalidWindow) as caught:
+            check_MA2(MODEL, STD, ap, radius)
+        assert isinstance(caught.value, ValueError)
+        with pytest.raises(InvalidWindow):
+            intersect_with_standard(MODEL, ap, radius)
 
     def test_window_too_small_then_enlarged(self):
         """Two apartments sharing more line than the window can see: no
