@@ -308,10 +308,8 @@ def _integer_forms(
     """The positive roots in coordinate order, each with its form as an
     integer row over one common denominator, and that denominator."""
     roots = sorted(positive_roots(rgs, height_bound), key=lambda r: r.coords)
-    denom = math.lcm(*(c.denominator for r in roots for c in r.form))
-    return denom, tuple(
-        (r, tuple(c.numerator * (denom // c.denominator) for c in r.form)) for r in roots
-    )
+    denom, forms = linalg.clear_denominators([r.form for r in roots])
+    return denom, tuple(zip(roots, forms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,12 +372,10 @@ def root_table(
     """The `RootTable` of the positive roots of height <= height_bound at
     the points, built once per process for each distinct argument."""
     denom, forms = _integer_forms(rgs, height_bound)
-    scale = math.lcm(*(x.denominator for p in points for x in p))
+    scale, cleared = linalg.clear_denominators(points)
     opposite = {r.coords: r for r in enumerate_real_roots(rgs, height_bound)}
     rows = tuple(
-        tuple(sum(f * x.numerator * (scale // x.denominator) for f, x in zip(form, p))
-              for _, form in forms)
-        for p in points
+        tuple(sum(f * x for f, x in zip(form, p)) for _, form in forms) for p in cleared
     )
     columns = list(zip(*rows))
     return RootTable(
@@ -404,9 +400,7 @@ def segment_values(
     if a == b:
         raise DegenerateSegment("walls_crossed of a single point")
     denom, rows = _integer_forms(rgs, height_bound)
-    scale = math.lcm(*(x.denominator for x in a + b))
-    ia = [x.numerator * (scale // x.denominator) for x in a]
-    ib = [x.numerator * (scale // x.denominator) for x in b]
+    scale, (ia, ib) = linalg.clear_denominators((a, b))
     return denom * scale, tuple(
         (root, sum(r * x for r, x in zip(row, ia)), sum(r * x for r, x in zip(row, ib)))
         for root, row in rows

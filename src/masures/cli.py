@@ -42,7 +42,7 @@ from .kmcore import (
     weyl_ball_complete,
 )
 from .linalg import add as vadd
-from .models import check_MA2, retract_segment
+from .models import CheckOutcome, VerificationReport, check_MA2, retract_segment
 from .models.sl3 import SL3Model
 from .models.tree import TreeModel
 
@@ -356,40 +356,37 @@ def run_campaign(raw_config: dict) -> dict:
         rng = random.Random(derive_seed(config["seed"], index))
         first = model.random_apartment(rng.getrandbits(48), rng.randrange(config["complexity"] + 1))
         second = model.random_apartment(rng.getrandbits(48), rng.randrange(config["complexity"] + 1))
-        window = config["window_radius"]
+        radii = [config["window_radius"] << attempt for attempt in range(3)]
         ma2 = None
-        for attempt in range(3):
+        for window in radii:
             try:
                 ma2 = check_MA2(model, first, second, window)
                 break
             except WindowTooSmall:
                 counts["window_retries"] += 1
-                window *= 2
         retraction = _retraction_trial(model, rng, first, config)
         if ma2 is None:
+            tried = ", ".join(map(str, radii[:-1])) + f" and {radii[-1]}"
+            ma2 = VerificationReport(
+                INCONCLUSIVE,
+                1,
+                (CheckOutcome("window", INCONCLUSIVE, f"intersection fills the window at radii {tried}"),),
+                (),
+            )
+        statuses = [ma2.verdict, retraction["separation"], retraction["growth"]]
+        if FAIL in statuses:
+            verdict = FAIL
+        elif INCONCLUSIVE in statuses:
             verdict = INCONCLUSIVE
-            ma2_json = {
-                "verdict": INCONCLUSIVE,
-                "trials": 1,
-                "checks": [],
-                "certificates": [],
-            }
         else:
-            ma2_json = serialize.verification_report_to_json(ma2)
-            statuses = [ma2.verdict, retraction["separation"], retraction["growth"]]
-            if FAIL in statuses:
-                verdict = FAIL
-            elif INCONCLUSIVE in statuses:
-                verdict = INCONCLUSIVE
-            else:
-                verdict = PASS
+            verdict = PASS
         counts[verdict.lower()] += 1
         trials.append(
             {
                 "index": index,
                 "verdict": verdict,
                 "window_radius": window,
-                "ma2": ma2_json,
+                "ma2": serialize.verification_report_to_json(ma2),
                 "retraction": retraction,
             }
         )

@@ -5,73 +5,91 @@ with > instead of >= when strict.  Dimensions and constraint counts stay
 small here (apartment dimensions, a few dozen half-spaces), which is the
 regime where Fourier-Motzkin is simpler and more trustworthy than a
 simplex implementation.
+
+Elimination runs over the integers.  Each constraint is scaled to an
+integer row (coeffs..., const) and divided by the gcd of its entries, so
+one half-space has one row and duplicates collapse; combining two rows
+keeps them integral.  `Fraction` arithmetic is left to the
+back-substitution that builds the witness.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Sequence
 
+from .errors import DimensionMismatch
+from .linalg import clear_denominators
+
 Constraint = tuple[tuple[Q, ...], Q, bool]
 
-
-def _normalized(c: Constraint) -> Constraint:
-    coeffs, const, strict = c
-    lead = next((abs(x) for x in coeffs if x != 0), None)
-    if lead is None:
-        return c
-    return tuple(x / lead for x in coeffs), const / lead, strict
+# (c_0, ..., c_{dim-1}, const) in lowest terms, and strictness
+Row = tuple[tuple[int, ...], bool]
 
 
-def _combine(p: Constraint, n: Constraint, k: int) -> Constraint:
+def _primitive(entries: list[int]) -> tuple[int, ...]:
+    g = math.gcd(*entries)
+    return tuple(x // g for x in entries) if g > 1 else tuple(entries)
+
+
+def _integer_row(coeffs: Sequence, const) -> tuple[int, ...]:
+    values = [x if isinstance(x, (int, Q)) else Q(x) for x in (*coeffs, const)]
+    _, (row,) = clear_denominators([values])
+    return _primitive(list(row))
+
+
+def _combine(p: tuple[int, ...], n: tuple[int, ...], k: int) -> tuple[int, ...]:
     # p has positive coefficient on var k, n negative; eliminate var k
-    pc, pconst, pstrict = p
-    nc, nconst, nstrict = n
-    a, b = pc[k], -nc[k]
-    coeffs = tuple(a * nc[i] + b * pc[i] for i in range(len(pc)))
-    return coeffs, a * nconst + b * pconst, pstrict or nstrict
+    g = math.gcd(p[k], n[k])
+    a, b = p[k] // g, -n[k] // g
+    return _primitive([a * y + b * x for x, y in zip(p, n)])
+
+
+def _bound(row: tuple[int, ...], k: int, denom: int, scaled: Sequence[int]) -> Q:
+    """The value of var k that makes the row zero, given the earlier vars
+    as integers `scaled` over the common denominator `denom`."""
+    rest = sum(c * x for c, x in zip(row, scaled)) + row[-1] * denom
+    return Q(-rest, row[k] * denom)
 
 
 def feasible(constraints: Sequence[Constraint], dim: int) -> tuple[Q, ...] | None:
     """An exact rational point satisfying every constraint, or None."""
-    current: dict[Constraint, None] = {}
-    for c in constraints:
-        coeffs, const, strict = c
+    current: dict[Row, None] = {}
+    for coeffs, const, strict in constraints:
         if len(coeffs) != dim:
-            raise ValueError(f"constraint of arity {len(coeffs)}, expected {dim}")
-        current[_normalized((tuple(Q(x) for x in coeffs), Q(const), strict))] = None
+            raise DimensionMismatch(f"constraint of arity {len(coeffs)}, expected {dim}")
+        current[(_integer_row(coeffs, const), strict)] = None
 
-    stages: list[tuple[int, list[Constraint], list[Constraint]]] = []
+    stages: list[tuple[int, list[Row], list[Row]]] = []
     rows = list(current)
     for k in range(dim - 1, -1, -1):
         pos = [r for r in rows if r[0][k] > 0]
         neg = [r for r in rows if r[0][k] < 0]
-        zero = [r for r in rows if r[0][k] == 0]
         stages.append((k, pos, neg))
-        fresh: dict[Constraint, None] = {r: None for r in zero}
-        for p in pos:
-            for n in neg:
-                fresh[_normalized(_combine(p, n, k))] = None
+        fresh: dict[Row, None] = {r: None for r in rows if r[0][k] == 0}
+        for p, pstrict in pos:
+            for n, nstrict in neg:
+                fresh[(_combine(p, n, k), pstrict or nstrict)] = None
         rows = list(fresh)
 
-    for coeffs, const, strict in rows:
-        if strict and not const > 0:
-            return None
-        if not strict and const < 0:
+    for row, strict in rows:
+        if row[-1] < 0 or (strict and row[-1] == 0):
             return None
 
+    # rows of stage k vanish on the vars above k, and the vars below k are
+    # already fixed when var k is chosen
     witness = [Q(0)] * dim
     for k, pos, neg in reversed(stages):
+        denom, (scaled,) = clear_denominators([witness[:k]])
         lower = None  # (value, strict)
         upper = None
-        for coeffs, const, strict in pos:
-            rest = sum((coeffs[i] * witness[i] for i in range(dim) if i != k), Q(0))
-            bound = -(rest + const) / coeffs[k]
+        for row, strict in pos:
+            bound = _bound(row, k, denom, scaled)
             if lower is None or bound > lower[0] or (bound == lower[0] and strict):
                 lower = (bound, strict)
-        for coeffs, const, strict in neg:
-            rest = sum((coeffs[i] * witness[i] for i in range(dim) if i != k), Q(0))
-            bound = -(rest + const) / coeffs[k]
+        for row, strict in neg:
+            bound = _bound(row, k, denom, scaled)
             if upper is None or bound < upper[0] or (bound == upper[0] and strict):
                 upper = (bound, strict)
         if lower is None and upper is None:

@@ -7,6 +7,7 @@ the right tool.  No floats, ever.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Sequence
 
@@ -66,6 +67,13 @@ def vecmat(v: Vector, m: Matrix) -> Vector:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """The least common denominator d of the vectors' entries (ints or
+    fractions), and the vectors times d as integer tuples."""
+    denom = math.lcm(*(x.denominator for v in vectors for x in v))
+    return denom, [tuple(x.numerator * (denom // x.denominator) for x in v) for v in vectors]
 
 
 def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:

@@ -17,9 +17,14 @@ Root values at the window's special points come from one integer table
 per window (`apartment.root_table`, cached per process on the root
 system, the height bound and the points): the window test, the fit
 levels, the pruning of window-clip halves and the search for non-members
-inside the fit compare integers m alpha(v) read off it.  `Fraction`
-arithmetic is left to the canonicalization of the fitted set, the
-intertwiner search and the convexity witness.
+inside the fit compare integers m alpha(v) read off it.  A model reads
+the window into the second apartment with `MasureModel.window_coords`,
+point by point unless it knows a faster reading (SL3 reads integer
+alpha-values).  The canonicalization of the fitted set eliminates over
+the integers (`fourier_motzkin`), and the intertwiner search tests each
+candidate on the hits and their images with denominators cleared, in
+integers.  `Fraction` arithmetic is left to each candidate's
+translation, the Fourier-Motzkin witness and the convexity witness.
 
 All verification is windowed: a verdict certifies the window, nothing
 beyond it.  When the window cannot tell the intersection apart from a
@@ -59,6 +64,7 @@ from ..errors import (
 from ..heckepath import FAIL, PASS, PLPath
 from ..kmcore import (
     RootGeneratingSystem,
+    WeylElement,
     coroot_coordinates,
     positive_roots,
     roots_saturated,
@@ -116,6 +122,16 @@ class MasureModel(ABC):
     @abstractmethod
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
         """Special points of the standard apartment within the window."""
+
+    def window_coords(
+        self, first, second, window_radius: int, points: Sequence[Vector]
+    ) -> list[Vector | None]:
+        """For each of the window's special points `points`, as
+        `special_points(window_radius)` gave them, its coordinates in
+        `second` once charted through `first`, or None when `second` does
+        not contain it.  A model may read the window faster than point by
+        point; the result must be this loop's."""
+        return [self.apartment_coords(second, self.chart(first, v)) for v in points]
 
     @abstractmethod
     def same_apartment(self, first, second) -> bool:
@@ -214,8 +230,7 @@ def _sample(
     specials = model.special_points(window_radius)
     pairs = []
     misses = []
-    for i, v in enumerate(specials):
-        y = model.apartment_coords(second, model.chart(first, v))
+    for i, y in enumerate(model.window_coords(first, second, window_radius, specials)):
         if y is None:
             misses.append(i)
         else:
@@ -334,6 +349,31 @@ def _between_hits(v: Vector, hits: Sequence[Vector]) -> tuple[Vector, Vector] | 
     return None
 
 
+def _carries(
+    w: WeylElement,
+    tau: Sequence,
+    hits: tuple[int, list[tuple[int, ...]]],
+    images: tuple[int, list[tuple[int, ...]]],
+) -> bool:
+    """Whether x -> w x + tau sends every hit to its image.  `hits` and
+    `images` are `linalg.clear_denominators` pairs (d_x, X) and (d_y, Y);
+    with d_w clearing w's matrix M, the test is
+    d_y (d_w M) X + d_w d_x d_y tau = d_w d_x Y, in integers."""
+    dx, xs = hits
+    dy, ys = images
+    dw, matrix = linalg.clear_denominators(w.matrix)
+    scale = dw * dx * dy
+    if any(scale % t.denominator for t in tau):
+        return False
+    shift = [t.numerator * (scale // t.denominator) for t in tau]
+    target = dw * dx
+    return all(
+        dy * sum(m * c for m, c in zip(row, x)) + s == target * c_y
+        for x, y in zip(xs, ys)
+        for row, s, c_y in zip(matrix, shift, y)
+    )
+
+
 def check_MA2(
     model: MasureModel, first, second, window_radius: int
 ) -> VerificationReport:
@@ -401,15 +441,14 @@ def check_MA2(
     )
 
     intertwiner = None
-    x0, y0 = xs[0], ys[0]
+    hits, images = linalg.clear_denominators(xs), linalg.clear_denominators(ys)
     for w in weyl_ball(rgs, model.weyl_length_bound):
-        tau = linalg.sub(y0, w.act(x0))
+        tau = linalg.sub(ys[0], w.act(xs[0]))
         coords = coroot_coordinates(rgs, tau)
         if coords is None or any(c.denominator != 1 for c in coords):
             continue
-        candidate = AffineWeylElement(w, tau)
-        if all(candidate.apply(x) == y for x, y in zip(xs, ys)):
-            intertwiner = candidate
+        if _carries(w, tau, hits, images):
+            intertwiner = AffineWeylElement(w, tau)
             break
     intertwiner_check = CheckOutcome(
         "intertwiner",

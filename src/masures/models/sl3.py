@@ -38,6 +38,7 @@ comparison divides, so none can run out of series coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction as Q
@@ -349,6 +350,21 @@ def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
     return [(ca, cb, w) for ca, cb, w in raw if w > 0]
 
 
+def _from_alpha(a, b) -> Vector:
+    """Realization coordinates of the point with alpha-values (a, b)."""
+    return (Q(2 * a + b, 3), Q(a + 2 * b, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _window(window_radius: int) -> tuple[tuple[Vector, ...], tuple[tuple[int, int], ...]]:
+    """The window's special points and their alpha-values, in the same
+    order; built once per process for each radius, so every model hands
+    out the same points."""
+    span = range(-window_radius, window_radius + 1)
+    alphas = tuple((a, b) for a in span for b in span if abs(a + b) <= window_radius)
+    return tuple(_from_alpha(a, b) for a, b in alphas), alphas
+
+
 class SL3Model(MasureModel):
     """SL3 over F_q((t))."""
 
@@ -367,16 +383,13 @@ class SL3Model(MasureModel):
     def standard_apartment(self) -> SL3Apartment:
         return self._standard
 
-    # alpha-values (a, b) <-> realization coordinates
+    # realization coordinates -> alpha-values (a, b), the inverse of `_from_alpha`
 
     def _alpha_values(self, coords: Sequence) -> tuple[Q, Q]:
         if len(coords) != 2:
             raise DimensionMismatch("apartment coordinates have dimension 2")
         x1, x2 = (Q(c) for c in coords)
         return (2 * x1 - x2, -x1 + 2 * x2)
-
-    def _from_alpha(self, a: Q, b: Q) -> Vector:
-        return (Q(2 * a + b, 3), Q(a + 2 * b, 3))
 
     def chart(self, apartment: SL3Apartment, coords: Sequence) -> SL3Point:
         a, b = self._alpha_values(coords)
@@ -394,21 +407,33 @@ class SL3Model(MasureModel):
 
     def apartment_coords(self, apartment: SL3Apartment, point: SL3Point) -> Vector | None:
         reading = _membership(*self._relative(apartment, point.apartment), point.corners)
-        return None if reading is None else self._from_alpha(*reading)
+        return None if reading is None else _from_alpha(*reading)
 
     def point_retract(self, point: SL3Point, germ) -> Vector:
         from ..apartment import minus_infinity
 
         order = (0, 1, 2) if germ == minus_infinity(self._rgs) else (2, 1, 0)
-        return self._from_alpha(*_retraction(point, order))
+        return _from_alpha(*_retraction(point, order))
 
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
+        return _window(window_radius)[0]
+
+    def window_coords(
+        self, first: SL3Apartment, second: SL3Apartment, window_radius: int, points
+    ) -> list[Vector | None]:
+        # The special point with alpha-values (a, b) charts to the single
+        # corner lam = (a + b, b, 0) of weight 1, so its membership is one
+        # diagonal reading of the relative frame, and its alpha-values in
+        # `second` are (d1 - d0, d2 - d1).  `_membership`'s comparison with
+        # the alcove corners of that reading is an identity for one integer
+        # corner of weight 1, so skipping it here weakens nothing.  `points`
+        # are `_window(window_radius)[0]`; their alpha-values are read instead.
+        vals, det_val = self._relative(second, first)
         out = []
-        for a in range(-window_radius, window_radius + 1):
-            for b in range(-window_radius, window_radius + 1):
-                if abs(a + b) <= window_radius:
-                    out.append(self._from_alpha(Q(a), Q(b)))
-        return tuple(out)
+        for a, b in _window(window_radius)[1]:
+            d = _diagonal_exponents(vals, det_val, (a + b, b, 0))
+            out.append(None if d is None else _from_alpha(d[1] - d[0], d[2] - d[1]))
+        return out
 
     def same_apartment(self, first: SL3Apartment, second: SL3Apartment) -> bool:
         # adj(first) . second is monomial iff adj(second) . first is; asking

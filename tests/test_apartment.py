@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masures import linalg
 from masures.apartment import (
     EVERYTHING,
     AffineWeylElement,
@@ -45,11 +46,12 @@ from masures.kmcore import (
     realization,
     simple_root,
     validate_matrix,
+    weyl_ball,
     weyl_identity,
     weyl_word,
 )
 from masures.models import SL3Model, TreeModel
-from masures.models.base import _between_hits, _fit_bad, _prune_window_clip
+from masures.models.base import _between_hits, _carries, _fit_bad, _prune_window_clip
 
 A1 = default_realization(validate_matrix([[2]]))
 A2 = default_realization(validate_matrix([[2, -1], [-1, 2]]))
@@ -582,6 +584,53 @@ class TestAffineWeylElement:
         half = HalfApartment(simple_root(A2, 1), 1)
         for v in ((Q(0), Q(0)), (Q(3), Q(-2)), (Q(-1), Q(-1))):
             assert half.contains(v) == g.apply_to_half(half).contains(g.apply(v))
+
+
+# A2 on the coroots (1, 0), (-1/2, 1), whose reflections have fractional matrices
+A2_SKEW = realization(
+    validate_matrix([[2, -1], [-1, 2]]),
+    [(1, 0), (Q(-1, 2), 1)],
+    [(2, 0), (-1, Q(3, 2))],
+)
+
+
+class TestIntegerIntertwinerMatch:
+    """`_carries` tests a candidate on denominator-cleared integer vectors;
+    `AffineWeylElement.apply` is the reference."""
+
+    @pytest.mark.parametrize(
+        "rgs", [A1, A2, A2_SKEW, B2, G2], ids=["A1", "A2", "A2-skew", "B2", "G2"]
+    )
+    def test_agrees_with_apply(self, rgs):
+        rng = random.Random(23)
+        ball = weyl_ball(rgs, 6)
+        outcomes = set()
+        for _ in range(150):
+            w = rng.choice(ball)
+            tau = rgs.zero()
+            for coroot in rgs.simple_coroots:
+                k = rng.randrange(-3, 4)
+                tau = tuple(t + k * c for t, c in zip(tau, coroot))
+            candidate = AffineWeylElement(w, tau)
+            xs = [random_point(rng, rgs.dim) for _ in range(rng.randrange(1, 9))]
+            ys = [candidate.apply(x) for x in xs]
+            kind = rng.randrange(3)
+            if kind == 1:
+                # exactly one coordinate of one image is off
+                i, j = rng.randrange(len(ys)), rng.randrange(rgs.dim)
+                off = Q(rng.choice((-1, 1)), rng.randrange(1, 7))
+                ys[i] = ys[i][:j] + (ys[i][j] + off,) + ys[i][j + 1:]
+            elif kind == 2:
+                ys = [random_point(rng, rgs.dim) for _ in xs]
+            expected = all(candidate.apply(x) == y for x, y in zip(xs, ys))
+            cleared = linalg.clear_denominators
+            assert _carries(w, tau, cleared(xs), cleared(ys)) == expected
+            assert kind != 1 or not expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_fractional_matrices_occur(self):
+        assert any(c.denominator > 1 for w in weyl_ball(A2_SKEW, 3) for row in w.matrix for c in row)
 
 
 class TestSectorGerms:

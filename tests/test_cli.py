@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from masures import serialize
+from masures import cli, serialize
 from masures.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -23,8 +23,9 @@ from masures.cli import (
     main,
     run_campaign,
 )
-from masures.heckepath import PLPath, fold_tail
+from masures.heckepath import INCONCLUSIVE, PLPath, fold_tail
 from masures.kmcore import default_realization, positive_roots, validate_matrix
+from masures.models import TreeModel
 
 AFFINE = [[2, -2], [-2, 2]]
 
@@ -337,6 +338,37 @@ class TestVerifyTheorem:
         assert doc["error"]["type"] == "BadConfig"
         assert key is None or key in doc["error"]["message"]
         validate(doc, "error.json")
+
+    def test_exhausted_window_retries_are_reported(self, monkeypatch):
+        """When every window is too small, the trial records the last
+        radius it tried and an INCONCLUSIVE window check naming the radii."""
+
+        class Filling(TreeModel):
+            # every apartment is the standard one, yet none counts as equal
+            # to another, so each sample fills its window
+            def same_apartment(self, first, second):
+                return False
+
+            def random_apartment(self, seed, complexity):
+                return self.standard_apartment()
+
+        monkeypatch.setattr(cli, "TreeModel", Filling)
+        report = run_campaign({"model": "tree", "trials": 2, "seed": 3, "window_radius": 4})
+        validate(report, "campaign_report.json")
+        assert report["summary"] == {"pass": 0, "fail": 0, "inconclusive": 2, "window_retries": 6}
+        for trial in report["trials"]:
+            assert trial["verdict"] == INCONCLUSIVE
+            assert trial["window_radius"] == 16
+            assert trial["ma2"] == {
+                "verdict": INCONCLUSIVE,
+                "trials": 1,
+                "checks": [{
+                    "name": "window",
+                    "verdict": INCONCLUSIVE,
+                    "detail": "intersection fills the window at radii 4, 8 and 16",
+                }],
+                "certificates": [],
+            }
 
     def test_derive_seed_matches_the_documented_rule(self):
         import hashlib

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masures import linalg
+from masures.errors import DimensionMismatch
 from masures.fourier_motzkin import feasible
 
 rationals = st.fractions(
@@ -117,6 +118,10 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             feasible([((Q(1),), Q(0), False)], 2)
 
+    def test_arity_mismatch_is_typed(self):
+        with pytest.raises(DimensionMismatch):
+            feasible([((Q(1), Q(2)), Q(0), False)], 1)
+
     @given(
         st.lists(vectors(2), min_size=1, max_size=6),
         vectors(2),
@@ -132,3 +137,100 @@ class TestFeasibility:
         assert v is not None
         for coeffs, const, strict in cons:
             assert sum(c * x for c, x in zip(coeffs, v)) + const >= 0
+
+
+# -- Fourier-Motzkin over the rationals, the reference for the integer one ----
+
+
+def _fraction_normalized(c):
+    coeffs, const, strict = c
+    lead = next((abs(x) for x in coeffs if x != 0), None)
+    if lead is None:
+        return c
+    return tuple(x / lead for x in coeffs), const / lead, strict
+
+
+def _fraction_combine(p, n, k):
+    pc, pconst, pstrict = p
+    nc, nconst, nstrict = n
+    a, b = pc[k], -nc[k]
+    coeffs = tuple(a * nc[i] + b * pc[i] for i in range(len(pc)))
+    return coeffs, a * nconst + b * pconst, pstrict or nstrict
+
+
+def fraction_feasible(constraints, dim):
+    """Fourier-Motzkin with every row kept as `Fraction`s, scaled so that
+    its first nonzero coefficient has absolute value 1."""
+    rows = list(dict.fromkeys(
+        _fraction_normalized((tuple(Q(x) for x in coeffs), Q(const), strict))
+        for coeffs, const, strict in constraints
+    ))
+    stages = []
+    for k in range(dim - 1, -1, -1):
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        stages.append((k, pos, neg))
+        fresh = {r: None for r in rows if r[0][k] == 0}
+        for p in pos:
+            for n in neg:
+                fresh[_fraction_normalized(_fraction_combine(p, n, k))] = None
+        rows = list(fresh)
+    for coeffs, const, strict in rows:
+        if (strict and not const > 0) or const < 0:
+            return None
+    witness = [Q(0)] * dim
+    for k, pos, neg in reversed(stages):
+        lower = upper = None
+        for coeffs, const, strict in pos:
+            rest = sum((coeffs[i] * witness[i] for i in range(dim) if i != k), Q(0))
+            bound = -(rest + const) / coeffs[k]
+            if lower is None or bound > lower[0] or (bound == lower[0] and strict):
+                lower = (bound, strict)
+        for coeffs, const, strict in neg:
+            rest = sum((coeffs[i] * witness[i] for i in range(dim) if i != k), Q(0))
+            bound = -(rest + const) / coeffs[k]
+            if upper is None or bound < upper[0] or (bound == upper[0] and strict):
+                upper = (bound, strict)
+        if lower is None and upper is None:
+            witness[k] = Q(0)
+        elif upper is None:
+            witness[k] = lower[0] + 1
+        elif lower is None:
+            witness[k] = upper[0] - 1
+        elif lower[0] == upper[0]:
+            witness[k] = lower[0]
+        else:
+            witness[k] = (lower[0] + upper[0]) / 2
+    return tuple(witness)
+
+
+sparse_rationals = st.one_of(st.just(Q(0)), rationals)
+
+
+@st.composite
+def systems(draw):
+    """A system in dimension 1-3 with strict rows, repeated rows, positive
+    multiples of rows and rows whose coefficients are all zero."""
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(st.tuples(*[sparse_rationals] * dim), sparse_rationals, st.booleans())
+    rows = draw(st.lists(row, max_size=7))
+    for coeffs, const, strict in list(rows):
+        factor = draw(st.sampled_from([None, Q(1), Q(2), Q(1, 3), Q(5, 2)]))
+        if factor is not None:
+            rows.append((tuple(factor * c for c in coeffs), factor * const, strict))
+    zero = st.tuples(st.just((Q(0),) * dim), sparse_rationals, st.booleans())
+    rows += draw(st.lists(zero, max_size=2))
+    return dim, draw(st.permutations(rows))
+
+
+class TestIntegerElimination:
+    @given(systems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_elimination(self, system):
+        dim, rows = system
+        assert feasible(rows, dim) == fraction_feasible(rows, dim)
+
+    def test_integer_and_fraction_inputs_agree(self):
+        rows = [((1, -2), 3, False), ((Q(-1, 2), Q(1)), Q(-3, 2), True), ((0, 0), 0, False)]
+        as_fractions = [(tuple(map(Q, c)), Q(k), s) for c, k, s in rows]
+        assert feasible(rows, 2) == feasible(as_fractions, 2) == fraction_feasible(rows, 2)

@@ -18,10 +18,12 @@ from masures.apartment import (
     minus_infinity,
     plus_infinity,
 )
+from masures.cli import derive_seed
 from masures.errors import InvalidWindow, MasureError, PrecisionExhausted
 from masures.heckepath import PASS, verify_growth
 from masures.kmcore import simple_root, weyl_ball_complete, weyl_word
 from masures.models import (
+    MasureModel,
     SL3Apartment,
     SL3Model,
     check_MA2,
@@ -34,10 +36,12 @@ from masures.models.sl3 import (
     _adjugate,
     _det,
     _diagonal_exponents,
+    _from_alpha,
     _identity,
     _matmul,
     _pivots,
     _triangularize,
+    _window,
 )
 
 MODEL = SL3Model(q=2)
@@ -420,7 +424,7 @@ class TestCharts:
         # I + E01 fixes D(alpha_1, 0) pointwise and nothing below it
         ap = SL3Apartment(_unipotent(0))
         for a in range(-3, 4):
-            x = MODEL._from_alpha(Q(a), Q(0))
+            x = _from_alpha(Q(a), Q(0))
             inside = MODEL.apartment_coords(ap, MODEL.chart(STD, x))
             assert (inside is not None) == (a >= 0)
 
@@ -527,3 +531,56 @@ class TestIntersections:
             second = MODEL.random_apartment(rng.getrandbits(48), rng.randrange(3))
             report = check_MA2(MODEL, first, second, 6)
             assert report.verdict == PASS
+
+
+def _campaign_pair(model, seed, complexity=2):
+    """The apartment pair of trial 0 of an SL3 campaign with this seed."""
+    rng = random.Random(derive_seed(seed, 0))
+    first = model.random_apartment(rng.getrandbits(48), rng.randrange(complexity + 1))
+    second = model.random_apartment(rng.getrandbits(48), rng.randrange(complexity + 1))
+    return first, second
+
+
+class TestWindowReading:
+    """`SL3Model.window_coords` reads the window off integer alpha-values;
+    the oracle is the point-by-point loop of `MasureModel.window_coords`,
+    which charts each point and reads its membership through `_membership`."""
+
+    @staticmethod
+    def assert_matches_the_loop(model, first, second) -> list:
+        """Compare at radii 1, 6 and 12; returns the radius-12 reading."""
+        for radius in (1, 6, 12):
+            points = model.special_points(radius)
+            got = model.window_coords(first, second, radius, points)
+            assert got == MasureModel.window_coords(model, first, second, radius, points)
+        return got
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_random_pairs_match_the_point_loop(self, q):
+        model = SL3Model(q=q)
+        rng = random.Random(40 + q)
+        hits = misses = 0
+        for complexity in range(5):
+            for _ in range(2):
+                first = model.random_apartment(rng.getrandbits(48), complexity)
+                second = model.random_apartment(rng.getrandbits(48), complexity)
+                got = self.assert_matches_the_loop(model, first, second)
+                hits += sum(y is not None for y in got)
+                misses += got.count(None)
+                assert None not in self.assert_matches_the_loop(model, second, second)
+        assert hits and misses
+
+    @pytest.mark.parametrize("seed", [179, 282, 477])
+    def test_window_retry_pairs_match_the_point_loop(self, seed):
+        first, second = _campaign_pair(MODEL, seed)
+        self.assert_matches_the_loop(MODEL, first, second)
+
+    @pytest.mark.parametrize("radius", [1, 2, 6, 12])
+    def test_cached_alpha_values_line_up_with_the_points(self, radius):
+        points, alphas = _window(radius)
+        assert MODEL.special_points(radius) is points
+        assert SL3Model(q=3).special_points(radius) is points
+        assert len(points) == len(alphas) == 3 * radius * (radius + 1) + 1
+        for v, (a, b) in zip(points, alphas):
+            assert MODEL._alpha_values(v) == (a, b)
+            assert max(abs(a), abs(b), abs(a + b)) <= radius

@@ -382,6 +382,26 @@ class TestCheckMA2:
             HalfApartment(ALPHA.negated(), 20),
         }
 
+    def test_shifted_images_have_no_intertwiner(self):
+        """A model that moves every image with positive coordinate one step
+        further: the sample is still the whole window, so the fit and the
+        convexity hold, but no single affine Weyl element carries the hits
+        on both sides of 0 to their images."""
+
+        class Shifted(TreeModel):
+            def apartment_coords(self, apartment, point):
+                y = super().apartment_coords(apartment, point)
+                return (y[0] + 1,) if y is not None and y[0] > 0 else y
+
+        report = check_MA2(Shifted(q=2), STD, STD, 8)
+        assert report.verdict == FAIL
+        checks = {c.name: (c.verdict, c.detail) for c in report.checks}
+        assert checks["enclosure-fit"][0] == PASS
+        assert checks["convexity"][0] == PASS
+        assert checks["intertwiner"] == (FAIL, "no affine Weyl element matches the sample")
+        assert report.certificate("intertwiner") is None
+        assert report.certificate("hits") == 17
+
     def test_random_pairs_pass(self):
         rng = random.Random(3)
         for _ in range(30):
