@@ -318,34 +318,13 @@ class RootTable:
     integers over one common denominator m.
 
     `rows[i][c]` is m alpha_c(points[i]) for the c-th root of `roots`
-    (coordinate order); `opposites[c]` is -alpha_c as
-    `enumerate_real_roots` gives it.  `top` and `bottom` are the column
-    maxima and minima over all rows.
+    (coordinate order).
     """
 
     points: tuple[Vector, ...]
     denom: int
     roots: tuple[Root, ...]
-    opposites: tuple[Root, ...]
     rows: tuple[tuple[int, ...], ...]
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-    def bounds(self, positions: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Column maxima and minima over the rows at the positions."""
-        columns = list(zip(*(self.rows[i] for i in positions)))
-        return tuple(map(max, columns)), tuple(map(min, columns))
-
-    def enclosure_halves(self, positions: Sequence[int]) -> list[HalfApartment]:
-        """The halves `enclosure_of` finds for the points at the positions:
-        D(alpha, k) with k = -floor(min alpha(x)) for alpha and -alpha."""
-        m = self.denom
-        top, bottom = self.bounds(positions)
-        halves = []
-        for root, opposite, hi, lo in zip(self.roots, self.opposites, top, bottom):
-            halves.append(HalfApartment(root, -(lo // m)))
-            halves.append(HalfApartment(opposite, -(-hi // m)))
-        return halves
 
     def half_tests(self, halves: Iterable[HalfApartment]) -> list[tuple[int, int, int]]:
         """(column, sign, offset) per half: D(sign alpha_column, k) holds
@@ -373,20 +352,10 @@ def root_table(
     the points, built once per process for each distinct argument."""
     denom, forms = _integer_forms(rgs, height_bound)
     scale, cleared = linalg.clear_denominators(points)
-    opposite = {r.coords: r for r in enumerate_real_roots(rgs, height_bound)}
     rows = tuple(
         tuple(sum(f * x for f, x in zip(form, p)) for _, form in forms) for p in cleared
     )
-    columns = list(zip(*rows))
-    return RootTable(
-        points,
-        denom * scale,
-        tuple(r for r, _ in forms),
-        tuple(opposite[tuple(-c for c in r.coords)] for r, _ in forms),
-        rows,
-        tuple(map(max, columns)),
-        tuple(map(min, columns)),
-    )
+    return RootTable(points, denom * scale, tuple(r for r, _ in forms), rows)
 
 
 def segment_values(

@@ -75,9 +75,14 @@ class InvalidWindow(MasureError, ValueError):
     that was never sampled; 1 is also the least `verify-theorem` accepts."""
 
 
-class WindowTooSmall(MasureError):
-    """An apartment intersection touches the sampling window on all sides.
+class InvalidBound(MasureError, ValueError):
+    """A root height or Weyl length bound below its least value.  A negative
+    bound holds no root and no Weyl element, so a saturation or
+    completeness answer about it would be wrong whichever way it went."""
 
-    Nothing in the window then distinguishes the fitted set from a larger
-    one; rerun with a bigger window.
-    """
+
+class WindowTooSmall(MasureError):
+    """Raised nowhere: every model computes its apartment intersections
+    exactly, so no sampling window is too small.  Kept because the
+    benchmark's tracer (`perfbench/tracer.py`) catches it around
+    `check_MA2`."""

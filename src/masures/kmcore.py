@@ -25,6 +25,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidBound,
     MatrixValidationError,
     RealizationError,
 )
@@ -317,13 +318,20 @@ def weyl_word(rgs: RootGeneratingSystem, word: Iterable[int]) -> WeylElement:
     return w
 
 
+def _check_bound(kind: str, bound: int) -> None:
+    if bound < 0:
+        raise InvalidBound(f"{kind} bound must be at least 0, not {bound}")
+
+
 @functools.lru_cache(maxsize=None)
 def weyl_ball(rgs: RootGeneratingSystem, length_bound: int) -> tuple[WeylElement, ...]:
     """All elements of word length <= length_bound, shortest words attached.
 
     Breadth-first over right multiplication, dedup by matrix; for finite
-    Weyl groups the ball saturates and is the whole group.
+    Weyl groups the ball saturates and is the whole group.  A negative
+    bound raises InvalidBound.
     """
+    _check_bound("length", length_bound)
     eye = weyl_identity(rgs)
     seen = {eye.matrix: eye}
     frontier = [eye]
@@ -435,8 +443,10 @@ def enumerate_real_roots(rgs: RootGeneratingSystem, height_bound: int) -> tuple[
     Breadth-first closure of the simple roots under simple reflections on
     the positive side; complete up to the bound because reflection chains
     inside the bound never need to leave it (heights change by one
-    reflection step at a time and roots of minimal height are simple).
+    reflection step at a time and roots of minimal height are simple).  A
+    negative bound raises InvalidBound.
     """
+    _check_bound("height", height_bound)
     frontier = [simple_root(rgs, i) for i in range(rgs.size)]
     found = {r.coords: r for r in frontier}
     while frontier:

@@ -1,36 +1,27 @@
 """Concrete buildings and the checks run against them.
 
 A model provides a set of apartments, each with a chart mapping apartment
-coordinates to building points, plus retractions onto the standard
-apartment from the germs at plus and minus infinity.  Everything here is
-generic over that interface: retracting a segment into a piecewise-linear
-path, sampling the intersection of an apartment with the standard one, and
-`check_MA2`, which verifies on a window of special points that the
-intersection of two apartments is enclosed, convex, and carried one chart
-to the other by an element of the affine Weyl group.  Convexity is read
-off the enclosure fit: the fit is an intersection of half-apartments, so
-it is convex and holds every member, and a sample it separates from the
-non-members is convex too.  A convexity witness is searched for only
-among the non-members inside the fit, that is, only when the fit fails.
+coordinates to building points, retractions onto the standard apartment
+from the germs at plus and minus infinity, and the exact intersection of
+two apartments.  Everything here is generic over that interface:
+retracting a segment into a piecewise-linear path, and `check_MA2`.
 
-Root values at the window's special points come from one integer table
-per window (`apartment.root_table`, cached per process on the root
-system, the height bound and the points): the window test, the fit
-levels, the pruning of window-clip halves and the search for non-members
-inside the fit compare integers m alpha(v) read off it.  A model reads
-the window into the second apartment with `MasureModel.window_coords`,
-point by point unless it knows a faster reading (SL3 reads integer
-alpha-values).  The canonicalization of the fitted set eliminates over
-the integers (`fourier_motzkin`), and the intertwiner search tests each
-candidate on the hits and their images with denominators cleared, in
-integers.  `Fraction` arithmetic is left to each candidate's
-translation, the Fourier-Motzkin witness and the convexity witness.
-
-All verification is windowed: a verdict certifies the window, nothing
-beyond it.  When the window cannot tell the intersection apart from a
-bigger set (it touches the boundary in every root direction), the check
-refuses to answer and raises WindowTooSmall instead.  A window radius
-below 1 raises InvalidWindow.
+The paper proves that two apartments meet in an enclosed set, a finite
+intersection of half-apartments, and each model computes that set in
+closed form (`MasureModel.intersection`); it is `check_MA2`'s `fitted`
+certificate.  The window of special points only cross-checks it: charted
+through the first apartment, each point must lie in the second exactly
+when it lies in the set, and no verdict depends on the window's size.
+Membership in the set compares integers m alpha(v) read off one root
+table per window (`apartment.root_table`, cached per process).  A model
+reads the window into the second apartment with
+`MasureModel.window_coords`, point by point unless it knows a faster
+reading (SL3 reads integer alpha-values).  The set's canonicalization
+eliminates over the integers (`fourier_motzkin`), and the intertwiner
+search tests each candidate on the hits and their images with
+denominators cleared.  `Fraction` arithmetic is left to each candidate's
+translation, the Fourier-Motzkin witness and the convexity witness.  A
+window radius below 1 raises InvalidWindow.
 """
 
 from __future__ import annotations
@@ -52,15 +43,8 @@ from ..apartment import (
     plus_infinity,
     root_table,
     walls_crossed,
-    whole_apartment,
 )
-from ..errors import (
-    DegenerateSegment,
-    DimensionMismatch,
-    InvalidWindow,
-    MasureError,
-    WindowTooSmall,
-)
+from ..errors import DegenerateSegment, DimensionMismatch, InvalidWindow, MasureError
 from ..heckepath import FAIL, PASS, PLPath
 from ..kmcore import (
     RootGeneratingSystem,
@@ -138,6 +122,13 @@ class MasureModel(ABC):
         """Equal as point sets (the charts may still differ)."""
 
     @abstractmethod
+    def intersection(self, first, second) -> EnclosedSet:
+        """The coordinates x in `first`'s chart whose points `second`
+        contains, computed exactly: an enclosed set, flagged as truncated
+        at `root_height_bound`; `whole_apartment` when the two apartments
+        are the same and `empty_set` when they are disjoint."""
+
+    @abstractmethod
     def random_apartment(self, seed: int, complexity: int):
         """Deterministic in the seed; complexity 0 is the standard one."""
 
@@ -197,23 +188,15 @@ def retract_segment(
 def intersect_with_standard(
     model: MasureModel, apartment, window_radius: int
 ) -> tuple[tuple[Vector, ...], EnclosedSet, bool]:
-    """Sampled intersection with the standard apartment, and its fit.
-
-    Returns the special points of the window lying in both apartments, the
-    same pruned fit that `check_MA2` reads enclosedness and convexity off,
-    and whether that fit was computed from a saturated root enumeration.
-    A sampled non-member inside the fit would contradict enclosedness of
-    the intersection, so it is treated as a hard error here.  Pruning
-    never admits a non-member, so checking after it finds the same ones.
-    """
-    rgs = model.rgs
-    table, pairs, misses = _sample(model, model.standard_apartment(), apartment, window_radius)
-    if not pairs:
-        return ((), empty_set(rgs), True)
-    fitted = _fit(model, table, [i for i, _ in pairs], misses, identical=False)
-    bad = _fit_bad(table, fitted, misses)
-    if bad:
-        raise MasureError(f"non-member {table.points[bad[0]]!r} inside the fitted enclosure")
+    """The special points of the window lying in both apartments, the exact
+    intersection in the standard chart, and its `exact` flag.  A sampled
+    point whose membership disagrees with the exact set is an error."""
+    standard = model.standard_apartment()
+    table, pairs, misses = _sample(model, standard, apartment, window_radius)
+    fitted = model.intersection(standard, apartment)
+    wrong = _disagreement(table, *_mismatches(table, fitted, pairs, misses))
+    if wrong:
+        raise MasureError(wrong)
     return (tuple(table.points[i] for i, _ in pairs), fitted, fitted.exact)
 
 
@@ -238,60 +221,30 @@ def _sample(
     return root_table(model.rgs, model.root_height_bound, specials), pairs, misses
 
 
-def _fit(
-    model: MasureModel,
+def _mismatches(
     table: RootTable,
-    hits: Sequence[int],
+    fitted: EnclosedSet,
+    pairs: Sequence[tuple[int, Vector]],
     misses: Sequence[int],
-    identical: bool,
-) -> EnclosedSet:
-    """Enclosure of the hits, or the whole apartment when the two
-    apartments are equal as sets, less the halves that only record the
-    window's clipping.  Hits and misses are positions in the table."""
-    rgs = model.rgs
-    height = model.root_height_bound
-    if identical:
-        fitted = whole_apartment(rgs)
-    else:
-        fitted = EnclosedSet(
-            rgs,
-            table.enclosure_halves(hits),
-            truncated_at=height,
-            exact=roots_saturated(rgs, height),
-        )
-    return _prune_window_clip(table, fitted, misses)
-
-
-def _prune_window_clip(
-    table: RootTable, fitted: EnclosedSet, misses: Sequence[int]
-) -> EnclosedSet:
-    """Drop halves that exclude no sampled non-member given the rest.
-
-    Such a half only records the clipping of the sample by the window.  A
-    non-member inside the fit blocks every drop, so the loop never admits
-    one and leaves a failing fit untouched.  A non-member lies in the rest
-    exactly when every half excluding it is the one tested or one already
-    dropped.
-    """
-    kept = sorted(fitted.halves, key=lambda h: (h.root.coords, h.level))
-    tests = table.half_tests(kept)
-    outside = [table.outside(tests, i) for i in misses]
-    dropped: set[int] = set()
-    for j in range(len(kept)):
-        if not any(out <= dropped | {j} for out in outside):
-            dropped.add(j)
-    return EnclosedSet(
-        fitted.rgs,
-        [h for j, h in enumerate(kept) if j not in dropped],
-        truncated_at=fitted.truncated_at,
-        exact=fitted.exact,
-    )
-
-
-def _fit_bad(table: RootTable, fitted: EnclosedSet, misses: Sequence[int]) -> list[int]:
-    """Positions of the non-members inside the fit."""
+) -> tuple[list[int], list[int]]:
+    """Positions of the sampled members outside the exact set, and of the
+    sampled non-members inside it."""
+    if fitted.is_empty:
+        return [i for i, _ in pairs], []
     tests = table.half_tests(fitted.halves)
-    return [i for i in misses if not table.outside(tests, i)]
+    outside = [i for i, _ in pairs if table.outside(tests, i)]
+    return outside, [i for i in misses if not table.outside(tests, i)]
+
+
+def _disagreement(table: RootTable, outside: Sequence[int], inside: Sequence[int]) -> str:
+    """The first sampled point, in window order, whose membership
+    disagrees with the exact set, named; empty when there is none."""
+    if not outside and not inside:
+        return ""
+    first = min([*outside, *inside])
+    if first in inside:
+        return f"non-member {table.points[first]!r} inside the fitted set"
+    return f"member {table.points[first]!r} outside the fitted set"
 
 
 @dataclass(frozen=True)
@@ -322,11 +275,6 @@ class VerificationReport:
             if key == name:
                 return value
         raise KeyError(name)
-
-
-def _touches_all_sides(table: RootTable, hits: Sequence[int]) -> bool:
-    """The hits reach the window's extreme value of every root, both ways."""
-    return table.bounds(hits) == (table.top, table.bottom)
 
 
 def _between_hits(v: Vector, hits: Sequence[Vector]) -> tuple[Vector, Vector] | None:
@@ -377,93 +325,78 @@ def _carries(
 def check_MA2(
     model: MasureModel, first, second, window_radius: int
 ) -> VerificationReport:
-    """Windowed check that two apartments intersect the way masures must.
+    """Check that two apartments intersect the way masures must.
 
-    Special points of the window are charted through the first apartment
-    and tested for membership in the second.  The sampled intersection
-    must be exactly an enclosed set (no non-member inside the fit), convex
-    on the sample, and some affine Weyl element must carry the first chart
-    to the second on every sampled point.  Convexity follows from the fit:
-    a non-member strictly between two members lies in the convex fit, so
-    the witness for a convexity FAIL is searched for only among the
-    non-members inside the fit.  An empty sample passes with an
-    empty certificate.  When the sample touches the window boundary in
-    every root direction (and the apartments are not equal as sets), no
-    windowed verdict is defensible and WindowTooSmall is raised.
+    The exact intersection `model.intersection(first, second)` is the
+    fitted set.  Each special point of the window, charted through the
+    first apartment, must lie in the second exactly when it lies in the
+    fitted set (enclosure-fit); no non-member may lie strictly between two
+    members (convexity); and some affine Weyl element must carry the first
+    chart to the second on every member (intertwiner).  A non-member
+    between two members lies in any convex set holding both, so while
+    every member lies in the fitted set the convexity witness is searched
+    for only among the non-members inside it.  Disjoint apartments pass
+    with an empty certificate.
     """
     rgs = model.rgs
-    identical = model.same_apartment(first, second)
     table, pairs, misses = _sample(model, first, second, window_radius)
-
-    if not pairs:
-        checks = (
-            CheckOutcome("enclosure-fit", PASS, "empty intersection"),
-            CheckOutcome("convexity", PASS, "empty intersection"),
-            CheckOutcome("intertwiner", PASS, "empty intersection"),
-        )
-        certificates = (
-            ("hits", 0),
-            ("window_radius", window_radius),
-            ("fitted", empty_set(rgs)),
-            ("intertwiner", None),
-            ("empty", True),
-        )
-        return VerificationReport(PASS, 1, checks, certificates)
-
-    positions = [i for i, _ in pairs]
-    if not identical and _touches_all_sides(table, positions):
-        raise WindowTooSmall(
-            f"intersection fills the window of radius {window_radius} in every direction"
-        )
-
-    fitted = _fit(model, table, positions, misses, identical)
-    fit_bad = [table.points[i] for i in _fit_bad(table, fitted, misses)]
-    xs = [table.points[i] for i in positions]
+    fitted = model.intersection(first, second)
+    outside, inside = _mismatches(table, fitted, pairs, misses)
+    wrong = _disagreement(table, outside, inside)
+    xs = [table.points[i] for i, _ in pairs]
     ys = [y for _, y in pairs]
-    enclosure_check = CheckOutcome(
-        "enclosure-fit",
-        FAIL if fit_bad else PASS,
-        f"non-member {fit_bad[0]!r} inside the fitted set" if fit_bad else
-        f"{len(xs)} members match the fit on {len(table.points)} sampled points",
-    )
 
     convex_bad = None
-    for v in fit_bad:
-        witness = _between_hits(v, xs)
+    for i in misses if outside else inside:
+        witness = _between_hits(table.points[i], xs)
         if witness is not None:
-            convex_bad = (v, witness)
+            convex_bad = (table.points[i], witness)
             break
-    convexity_check = CheckOutcome(
-        "convexity",
-        FAIL if convex_bad else PASS,
-        f"non-member {convex_bad[0]!r} between members {convex_bad[1]!r}"
-        if convex_bad else "no sampled segment leaves the intersection",
-    )
 
     intertwiner = None
-    hits, images = linalg.clear_denominators(xs), linalg.clear_denominators(ys)
-    for w in weyl_ball(rgs, model.weyl_length_bound):
-        tau = linalg.sub(ys[0], w.act(xs[0]))
-        coords = coroot_coordinates(rgs, tau)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            continue
-        if _carries(w, tau, hits, images):
-            intertwiner = AffineWeylElement(w, tau)
-            break
-    intertwiner_check = CheckOutcome(
-        "intertwiner",
-        PASS if intertwiner is not None else FAIL,
-        f"affine Weyl element matching all {len(pairs)} sampled points"
-        if intertwiner is not None else "no affine Weyl element matches the sample",
-    )
+    carried = (PASS, "no sampled member to carry")
+    if xs:
+        hits, images = linalg.clear_denominators(xs), linalg.clear_denominators(ys)
+        for w in weyl_ball(rgs, model.weyl_length_bound):
+            tau = linalg.sub(ys[0], w.act(xs[0]))
+            coords = coroot_coordinates(rgs, tau)
+            if coords is None or any(c.denominator != 1 for c in coords):
+                continue
+            if _carries(w, tau, hits, images):
+                intertwiner = AffineWeylElement(w, tau)
+                break
+        carried = (
+            (PASS, f"affine Weyl element matching all {len(xs)} sampled points")
+            if intertwiner is not None else (FAIL, "no affine Weyl element matches the sample")
+        )
 
-    checks = (enclosure_check, convexity_check, intertwiner_check)
+    if fitted.is_empty and not xs:
+        fitted = empty_set(rgs)
+        checks = tuple(
+            CheckOutcome(name, PASS, "empty intersection")
+            for name in ("enclosure-fit", "convexity", "intertwiner")
+        )
+    else:
+        checks = (
+            CheckOutcome(
+                "enclosure-fit",
+                FAIL if wrong else PASS,
+                wrong or f"{len(xs)} members match the fit on {len(table.points)} sampled points",
+            ),
+            CheckOutcome(
+                "convexity",
+                FAIL if convex_bad else PASS,
+                f"non-member {convex_bad[0]!r} between members {convex_bad[1]!r}"
+                if convex_bad else "no sampled segment leaves the intersection",
+            ),
+            CheckOutcome("intertwiner", *carried),
+        )
     verdict = FAIL if any(c.verdict == FAIL for c in checks) else PASS
     certificates = (
-        ("hits", len(pairs)),
+        ("hits", len(xs)),
         ("window_radius", window_radius),
         ("fitted", fitted),
         ("intertwiner", intertwiner),
-        ("empty", False),
+        ("empty", fitted.is_empty),
     )
     return VerificationReport(verdict, 1, checks, certificates)

@@ -39,13 +39,20 @@ comparison divides, so none can run out of series coefficients.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as Q
 from typing import Sequence
 
+from ..apartment import EnclosedSet, HalfApartment, empty_set, minus_infinity, whole_apartment
 from ..errors import DimensionMismatch, MasureError, PrecisionExhausted
-from ..kmcore import RootGeneratingSystem, default_realization, validate_matrix
+from ..kmcore import (
+    RootGeneratingSystem,
+    default_realization,
+    enumerate_real_roots,
+    validate_matrix,
+)
 from ..linalg import Vector
 from . import laurent as L
 from .base import MasureModel
@@ -355,6 +362,12 @@ def _from_alpha(a, b) -> Vector:
     return (Q(2 * a + b, 3), Q(a + 2 * b, 3))
 
 
+# simple-root coordinates of lam_m - lam_k, keyed (m, k), where alpha_1 is
+# lam_0 - lam_1 and alpha_2 is lam_1 - lam_2
+_COLUMN_ROOTS = {(0, 1): (1, 0), (1, 2): (0, 1), (0, 2): (1, 1),
+                 (1, 0): (-1, 0), (2, 1): (0, -1), (2, 0): (-1, -1)}
+
+
 @functools.lru_cache(maxsize=None)
 def _window(window_radius: int) -> tuple[tuple[Vector, ...], tuple[tuple[int, int], ...]]:
     """The window's special points and their alpha-values, in the same
@@ -410,8 +423,6 @@ class SL3Model(MasureModel):
         return None if reading is None else _from_alpha(*reading)
 
     def point_retract(self, point: SL3Point, germ) -> Vector:
-        from ..apartment import minus_infinity
-
         order = (0, 1, 2) if germ == minus_infinity(self._rgs) else (2, 1, 0)
         return _from_alpha(*_retraction(point, order))
 
@@ -434,6 +445,34 @@ class SL3Model(MasureModel):
             d = _diagonal_exponents(vals, det_val, (a + b, b, 0))
             out.append(None if d is None else _from_alpha(d[1] - d[0], d[2] - d[1]))
         return out
+
+    def intersection(self, first: SL3Apartment, second: SL3Apartment) -> EnclosedSet:
+        # `_diagonal_exponents` accepts the corner lam iff sum_i min_j
+        # (v_ij - lam_j) = d - sum lam, whose left side never exceeds the
+        # right: iff sum_i (v_{i j_i} - lam_{j_i}) + sum lam >= d for every
+        # choice of columns (j_0, j_1, j_2).  Using each column once gives a
+        # constant; column k twice and m never, D(lam_m - lam_k, sum - d);
+        # one column thrice, nothing more (the tests pin this).  A point
+        # lies in `second` iff its alcove's corners do, so the halves, at
+        # integer levels, cut out the points as they cut out the corners.
+        if self.same_apartment(first, second):
+            return whole_apartment(self._rgs)
+        vals, det_val = self._relative(second, first)
+        least = {}
+        for columns in itertools.product(range(3), repeat=3):
+            total = sum(row[j] for row, j in zip(vals, columns))
+            if total == math.inf:
+                continue
+            counts = [columns.count(j) for j in range(3)]
+            if max(counts) == 1 and total < det_val:
+                return empty_set(self._rgs)
+            if max(counts) == 2:
+                key = (counts.index(0), counts.index(2))
+                least[key] = min(total, least.get(key, math.inf))
+        roots = {r.coords: r for r in enumerate_real_roots(self._rgs, self.root_height_bound)}
+        halves = [HalfApartment(roots[_COLUMN_ROOTS[key]], total - det_val)
+                  for key, total in least.items()]
+        return EnclosedSet(self._rgs, halves, truncated_at=self.root_height_bound)
 
     def same_apartment(self, first: SL3Apartment, second: SL3Apartment) -> bool:
         # adj(first) . second is monomial iff adj(second) . first is; asking

@@ -17,14 +17,22 @@ Weyl group).
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 
-from ..apartment import SectorGerm, minus_infinity
+from ..apartment import (
+    EnclosedSet,
+    HalfApartment,
+    SectorGerm,
+    empty_set,
+    minus_infinity,
+    whole_apartment,
+)
 from ..errors import DimensionMismatch, MasureError
-from ..kmcore import RootGeneratingSystem, realization, validate_matrix
+from ..kmcore import RootGeneratingSystem, realization, simple_root, validate_matrix
 from ..linalg import Vector
 from .base import MasureModel
 
@@ -57,6 +65,18 @@ class TreeEnd:
         return self.prefix[:depth] + (self.repeat,) * (depth - len(self.prefix))
 
 
+def _shared_length(e: TreeEnd, f: TreeEnd) -> int | float:
+    """Length of the longest common prefix of two ends' words, infinite
+    when they are one end; each end has one description, so two distinct
+    ends differ at some letter."""
+    if e == f:
+        return math.inf
+    i = 0
+    while e.letter(i) == f.letter(i):
+        i += 1
+    return i
+
+
 @dataclass(frozen=True)
 class TreeApartment:
     """The line between two distinct ends, oriented from minus to plus."""
@@ -72,10 +92,7 @@ class TreeApartment:
     def depth(self) -> int:
         """Depth of the vertex where the two ends' words diverge, which is
         the line's vertex at coordinate `depth`."""
-        i = 0
-        while self.minus.letter(i) == self.plus.letter(i):
-            i += 1
-        return i
+        return _shared_length(self.minus, self.plus)
 
     def vertex_at(self, n: int) -> Word:
         m = self.depth
@@ -202,6 +219,32 @@ class TreeModel(MasureModel):
 
     def same_apartment(self, first: TreeApartment, second: TreeApartment) -> bool:
         return {first.minus, first.plus} == {second.minus, second.plus}
+
+    def intersection(self, first: TreeApartment, second: TreeApartment) -> EnclosedSet:
+        # A line's vertices are those of depth n >= its depth on its two
+        # rays; the one of depth n on an end's ray lies on `second` iff
+        # second.depth <= n and the end's word agrees with one of
+        # `second`'s ends up to n letters.  On `first` it sits at
+        # coordinate n on the plus ray and 2 first.depth - n on the minus
+        # ray, so the shared vertices are one run of coordinates.
+        if self.same_apartment(first, second):
+            return whole_apartment(self._rgs)
+        pivot = first.depth
+        least = max(pivot, second.depth)
+        spans = []
+        for end, sign in ((first.plus, 1), (first.minus, -1)):
+            reach = max(_shared_length(end, other) for other in (second.minus, second.plus))
+            if reach >= least:
+                spans += [pivot + sign * (least - pivot), pivot + sign * (reach - pivot)]
+        if not spans:
+            return empty_set(self._rgs)
+        alpha = simple_root(self._rgs, 0)
+        halves = []
+        if min(spans) > -math.inf:
+            halves.append(HalfApartment(alpha, -min(spans)))
+        if max(spans) < math.inf:
+            halves.append(HalfApartment(alpha.negated(), max(spans)))
+        return EnclosedSet(self._rgs, halves, truncated_at=self.root_height_bound)
 
     def random_apartment(self, seed: int, complexity: int) -> TreeApartment:
         if complexity == 0:

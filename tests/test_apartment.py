@@ -51,7 +51,7 @@ from masures.kmcore import (
     weyl_word,
 )
 from masures.models import SL3Model, TreeModel
-from masures.models.base import _between_hits, _carries, _fit_bad, _prune_window_clip
+from masures.models.base import _between_hits, _carries, _mismatches
 
 A1 = default_realization(validate_matrix([[2]]))
 A2 = default_realization(validate_matrix([[2, -1], [-1, 2]]))
@@ -172,8 +172,11 @@ def hit_subsets():
         yield hits, [v for v in GRID if v not in hits]
 
 
+GRID_INDEX = {v: i for i, v in enumerate(GRID)}
+
+
 def positions(points):
-    return [GRID.index(v) for v in points]
+    return [GRID_INDEX[v] for v in points]
 
 
 class TestEnclosureOf:
@@ -220,24 +223,6 @@ class TestEnclosureOf:
             assert HalfApartment(root, level) in set(s.halves) or EnclosedSet(
                 A2, set(s.halves) | {HalfApartment(root, level)}
             ) == s
-
-    @pytest.mark.parametrize(
-        "matrix", [[[2, -1], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]]
-    )
-    def test_pruned_fit_holds_every_miss_between_hits(self, matrix):
-        """Each half of the fit holds every hit and pruning only drops
-        halves, so the pruned fit is convex and holds every hit.  `check_MA2`
-        searches for a convexity witness only inside the fit on that basis."""
-        rgs = default_realization(validate_matrix(matrix))
-        table = root_table(rgs, 6, GRID)
-        witnessed = 0
-        for hits, misses in hit_subsets():
-            fitted = _prune_window_clip(table, enclosure_of(rgs, hits, 6), positions(misses))
-            for v in misses:
-                if _between_hits(v, hits) is not None:
-                    witnessed += 1
-                    assert fitted.contains(v)
-        assert witnessed > 0
 
 
 # -- wall crossings ------------------------------------------------------------------
@@ -406,28 +391,14 @@ class TestCrossingGroups:
 # -- the window root table against Fraction evaluation ------------------------------
 
 
-def fraction_prune(rgs, fitted, misses):
-    """The window-clip prune read off `Fraction` root values, as the
-    oracle for the integer one."""
-    kept = sorted(fitted.halves, key=lambda h: (h.root.coords, h.level))
-    for h in list(kept):
-        rest = [o for o in kept if o is not h]
-        if not any(all(o.contains(v) for o in rest) for v in misses):
-            kept = rest
-    return EnclosedSet(rgs, kept, truncated_at=fitted.truncated_at, exact=fitted.exact)
-
-
 def check_table(rgs, height, points):
     table = root_table(rgs, height, points)
     roots = sorted(positive_roots(rgs, height), key=lambda r: r.coords)
     assert table.roots == tuple(roots)
-    assert [r.coords for r in table.opposites] == [tuple(-c for c in r.coords) for r in roots]
     m = table.denom
     assert len(table.rows) == len(points)
     for v, row in zip(points, table.rows):
         assert list(row) == [m * r.value(v) for r in roots]
-    assert list(table.top) == [max(m * r.value(v) for v in points) for r in roots]
-    assert list(table.bottom) == [min(m * r.value(v) for v in points) for r in roots]
 
 
 TABLE_SYSTEMS = ((A2, 2), (B2, 3), (G2, 5), (A2_HALVES, 2))
@@ -462,35 +433,36 @@ class TestRootTable:
         assert root_table(SL3Model(q=2).rgs, 2, model.special_points(6)) is first
 
     @pytest.mark.parametrize("rgs, height", TABLE_SYSTEMS, ids=("A2", "B2", "G2", "A2-halves"))
-    def test_fit_and_prune_match_the_fraction_oracle(self, rgs, height):
-        """Levels k = -floor(min alpha(x)) for every real root, the pruned
-        halves and the non-members inside the fit, integer path against
-        `enclosure_of` and the `Fraction` prune, on the hit subsets of
-        `test_pruned_fit_holds_every_miss_between_hits` and on grid points
-        cut out by a few random half-apartments, where pruning drops
-        halves one after another."""
+    def test_mismatches_match_the_fraction_oracle(self, rgs, height):
+        """The members outside an enclosed set and the non-members inside
+        it, read off the integer table, against `EnclosedSet.contains`, for
+        sets cut by a few random half-apartments (and the empty set) and
+        seeded member/non-member splits of the grid.  A non-member between
+        two members lies inside any such set holding every member, which
+        is why `check_MA2` then searches only those for a convexity
+        witness."""
         table = root_table(rgs, height, GRID)
         roots = enumerate_real_roots(rgs, height)
         rng = random.Random(7)
-        cuts = []
-        while len(cuts) < 60:
-            cut = [HalfApartment(rng.choice(roots), rng.randrange(-2, 4)) for _ in range(rng.randrange(1, 4))]
-            hits = [v for v in GRID if all(h.contains(v) for h in cut)]
-            if 0 < len(hits) < len(GRID):
-                cuts.append((hits, [v for v in GRID if v not in hits]))
-        for hits, misses in list(hit_subsets()) + cuts:
-            halves = table.enclosure_halves(positions(hits))
-            assert set(halves) == {
-                HalfApartment(r, -math.floor(min(r.value(v) for v in hits)))
-                for r in enumerate_real_roots(rgs, height)
-            }
-            fit = enclosure_of(rgs, hits, height)
-            assert EnclosedSet(rgs, halves).halves == fit.halves
-            pruned = _prune_window_clip(table, fit, positions(misses))
-            expected = fraction_prune(rgs, fit, misses)
-            assert pruned.halves == expected.halves
-            inside = [v for v in misses if expected.contains(v)]
-            assert _fit_bad(table, pruned, positions(misses)) == positions(inside)
+        sets = [empty_set(rgs), whole_apartment(rgs)] + [
+            EnclosedSet(rgs, [HalfApartment(rng.choice(roots), rng.randrange(-2, 4))
+                              for _ in range(rng.randrange(1, 4))])
+            for _ in range(40)
+        ]
+        checked = 0
+        for fitted in sets:
+            held = {v for v in GRID if fitted.contains(v)}
+            for hits, misses in hit_subsets():
+                pairs = [(i, None) for i in positions(hits)]
+                outside, inside = _mismatches(table, fitted, pairs, positions(misses))
+                assert outside == positions([v for v in hits if v not in held])
+                assert inside == positions([v for v in misses if v in held])
+                if not outside:
+                    for v in misses:
+                        if v not in held:
+                            assert _between_hits(v, hits) is None
+                            checked += 1
+        assert checked > 0
 
     def test_strict_and_negative_halves(self):
         table = root_table(A2_HALVES, 2, GRID)

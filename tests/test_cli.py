@@ -23,7 +23,7 @@ from masures.cli import (
     main,
     run_campaign,
 )
-from masures.heckepath import INCONCLUSIVE, PLPath, fold_tail
+from masures.heckepath import PLPath, fold_tail
 from masures.kmcore import default_realization, positive_roots, validate_matrix
 from masures.models import TreeModel
 
@@ -125,6 +125,15 @@ class TestKm:
         assert doc["count"] == 6
         assert doc["complete"] is True
         validate(doc, "weyl.json")
+
+    @pytest.mark.parametrize(
+        "argv", [["km", "roots", "--height", "-1"], ["km", "weyl", "--length", "-1"]]
+    )
+    def test_negative_bound_is_a_usage_error(self, capsys, argv):
+        code, doc = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "InvalidBound"
+        validate(doc, "error.json")
 
     def test_cone_membership(self, capsys, tmp_path):
         f = write_json(tmp_path, "m.json", {"matrix": AFFINE})
@@ -229,6 +238,30 @@ class TestPath:
         )
         assert code == EXIT_OK
         assert report["verdict"] == "PASS"
+
+    @pytest.mark.parametrize(
+        "flags", [["--length", "-1"], ["--height", "-1"], ["--height", "0"]]
+    )
+    def test_bounds_out_of_range_are_usage_errors(self, capsys, tmp_path, flags):
+        """A path that passes at the default bounds is refused, not failed,
+        under a negative length or a height below 1; a height of 0 is not
+        replaced by the document's height bound.  `path fold` and `path
+        random` refuse such a height too; random would write it into a document
+        that `schemas/path.json` rejects."""
+        code, doc = run(capsys, ["path", "random", "--seed", "5"])
+        assert code == EXIT_OK
+        f = write_json(tmp_path, "path.json", doc)
+        code, report = run(capsys, ["path", "verify", "--input", f, "--length", "3"])
+        assert (code, report["verdict"]) == (EXIT_OK, "PASS")
+        code, report = run(capsys, ["path", "verify", "--input", f, "--length", "3", *flags])
+        assert code == EXIT_USAGE
+        assert report["error"]["type"] == "InvalidBound"
+        validate(report, "error.json")
+        if flags[0] == "--height":
+            for argv in (["path", "fold", "--input", f, "--time", "1/2", "--root", "1,0", "--level", "0"],
+                         ["path", "random", "--seed", "5"]):
+                code, report = run(capsys, argv + flags)
+                assert (code, report["error"]["type"]) == (EXIT_USAGE, "InvalidBound")
 
     def test_bad_path_document(self, capsys, tmp_path):
         f = write_json(tmp_path, "path.json", {"matrix": [[2]], "path": {"times": [0]}})
@@ -339,13 +372,12 @@ class TestVerifyTheorem:
         assert key is None or key in doc["error"]["message"]
         validate(doc, "error.json")
 
-    def test_exhausted_window_retries_are_reported(self, monkeypatch):
-        """When every window is too small, the trial records the last
-        radius it tried and an INCONCLUSIVE window check naming the radii."""
+    def test_a_sample_filling_the_window_is_decided_there(self, monkeypatch):
+        """A model whose apartments are all the standard one, yet never
+        equal to each other: every sample fills its window, and the trial
+        is still decided at the configured radius, off the exact set."""
 
         class Filling(TreeModel):
-            # every apartment is the standard one, yet none counts as equal
-            # to another, so each sample fills its window
             def same_apartment(self, first, second):
                 return False
 
@@ -355,20 +387,12 @@ class TestVerifyTheorem:
         monkeypatch.setattr(cli, "TreeModel", Filling)
         report = run_campaign({"model": "tree", "trials": 2, "seed": 3, "window_radius": 4})
         validate(report, "campaign_report.json")
-        assert report["summary"] == {"pass": 0, "fail": 0, "inconclusive": 2, "window_retries": 6}
+        assert report["summary"] == {"pass": 2, "fail": 0, "inconclusive": 0, "window_retries": 0}
         for trial in report["trials"]:
-            assert trial["verdict"] == INCONCLUSIVE
-            assert trial["window_radius"] == 16
-            assert trial["ma2"] == {
-                "verdict": INCONCLUSIVE,
-                "trials": 1,
-                "checks": [{
-                    "name": "window",
-                    "verdict": INCONCLUSIVE,
-                    "detail": "intersection fills the window at radii 4, 8 and 16",
-                }],
-                "certificates": [],
-            }
+            assert trial["window_radius"] == 4
+            certificates = {c["name"]: c["value"] for c in trial["ma2"]["certificates"]}
+            assert certificates["hits"] == 9
+            assert (certificates["fitted"]["halves"], certificates["empty"]) == ([], False)
 
     def test_derive_seed_matches_the_documented_rule(self):
         import hashlib
@@ -390,19 +414,19 @@ class TestVerifyTheorem:
             ({"model": "sl3", "q": 2, "trials": 6, "seed": 13}, "dd1568c35bf891b4"),
             ({"model": "sl3", "q": 3, "trials": 3, "seed": 21}, "04d11faaab3d08d5"),
             ({"model": "sl3", "q": 4, "trials": 2, "seed": 22}, "ff36c39fe1d48d69"),
-            # each retries once and ends at window 12
-            ({"model": "sl3", "trials": 1, "seed": 179}, "bc4bf277de8b64ad"),
-            ({"model": "sl3", "trials": 1, "seed": 282}, "24f3957b067b2380"),
-            ({"model": "sl3", "trials": 1, "seed": 477}, "5b381430b17fa1f0"),
+            # samples that fill the window of radius 6, decided there; their
+            # halves are those a window of radius 12 shows
+            ({"model": "sl3", "trials": 1, "seed": 179}, "5a579b80e7f130c2"),
+            ({"model": "sl3", "trials": 1, "seed": 282}, "dc061944f7e2d4f0"),
+            ({"model": "sl3", "trials": 1, "seed": 477}, "9b4db7fe1a1cd5d6"),
         ],
     )
     def test_campaign_report_digests_are_pinned(self, config, digest):
         import hashlib
 
         report = run_campaign(dict(config))
-        if config["trials"] == 1:
-            assert report["summary"]["window_retries"] == 1
-            assert report["trials"][0]["window_radius"] == 12
+        assert report["summary"]["window_retries"] == 0
+        assert all(t["window_radius"] == report["config"]["window_radius"] for t in report["trials"])
         assert hashlib.sha256(serialize.dumps(report).encode()).hexdigest()[:16] == digest
 
 

@@ -18,6 +18,7 @@ from masures import linalg
 from masures.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidBound,
     MatrixValidationError,
     RealizationError,
 )
@@ -409,6 +410,31 @@ class TestWeylBall:
     def test_ball_elements_have_matching_matrices(self):
         rgs = default_realization(validate_matrix(B2))
         assert {w.matrix for w in weyl_ball(rgs, 4)} == oracle_weyl_ball(rgs, 4)
+
+
+class TestNegativeBounds:
+    """A negative bound holds no root and no element; the saturation and
+    completeness questions about it once answered True."""
+
+    @pytest.mark.parametrize("bound", [-1, -5])
+    def test_roots(self, bound):
+        rgs = default_realization(validate_matrix(A2))
+        for call in (roots_saturated, enumerate_real_roots, positive_roots):
+            with pytest.raises(InvalidBound) as caught:
+                call(rgs, bound)
+            assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("bound", [-1, -5])
+    def test_weyl_ball(self, bound):
+        rgs = default_realization(validate_matrix(A2))
+        for call in (weyl_ball_complete, weyl_ball):
+            with pytest.raises(InvalidBound):
+                call(rgs, bound)
+
+    def test_zero_is_a_bound(self):
+        rgs = default_realization(validate_matrix(A2))
+        assert enumerate_real_roots(rgs, 0) == () and not roots_saturated(rgs, 0)
+        assert len(weyl_ball(rgs, 0)) == 1 and not weyl_ball_complete(rgs, 0)
 
 
 # -- Tits cone ------------------------------------------------------------------------

@@ -7,21 +7,25 @@ frames that is a finite exact computation.  Point equality is then
 required to agree with mutual inclusion of the corner lattices.
 """
 
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from masures.apartment import (
+    EnclosedSet,
     HalfApartment,
     SectorGerm,
     minus_infinity,
     plus_infinity,
+    whole_apartment,
 )
-from masures.cli import derive_seed
+from masures.cli import derive_seed, run_campaign
 from masures.errors import InvalidWindow, MasureError, PrecisionExhausted
+from masures.fourier_motzkin import feasible
 from masures.heckepath import PASS, verify_growth
-from masures.kmcore import simple_root, weyl_ball_complete, weyl_word
+from masures.kmcore import enumerate_real_roots, simple_root, weyl_ball_complete, weyl_word
 from masures.models import (
     MasureModel,
     SL3Apartment,
@@ -40,6 +44,7 @@ from masures.models.sl3 import (
     _identity,
     _matmul,
     _pivots,
+    _relative_frame,
     _triangularize,
     _window,
 )
@@ -49,6 +54,7 @@ F = MODEL.field
 RGS = MODEL.rgs
 STD = MODEL.standard_apartment()
 ALPHA1 = simple_root(RGS, 0)
+ALPHA2 = simple_root(RGS, 1)
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -533,9 +539,9 @@ class TestIntersections:
             assert report.verdict == PASS
 
 
-def _campaign_pair(model, seed, complexity=2):
-    """The apartment pair of trial 0 of an SL3 campaign with this seed."""
-    rng = random.Random(derive_seed(seed, 0))
+def _campaign_pair(model, seed, complexity=2, index=0):
+    """The apartment pair of a trial of an SL3 campaign with this seed."""
+    rng = random.Random(derive_seed(seed, index))
     first = model.random_apartment(rng.getrandbits(48), rng.randrange(complexity + 1))
     second = model.random_apartment(rng.getrandbits(48), rng.randrange(complexity + 1))
     return first, second
@@ -584,3 +590,142 @@ class TestWindowReading:
         for v, (a, b) in zip(points, alphas):
             assert MODEL._alpha_values(v) == (a, b)
             assert max(abs(a), abs(b), abs(a + b)) <= radius
+
+
+GRID = [(a, b) for a in range(-9, 10) for b in range(-9, 10)]
+
+
+def _grid_members(first, second):
+    """The alpha-values (a, b) on the grid whose special point of `first`
+    lies in `second`, by the diagonal reading of the relative frame."""
+    vals, det_val = _relative_frame(second, first)
+    return {(a, b) for a, b in GRID if _diagonal_exponents(vals, det_val, (a + b, b, 0)) is not None}
+
+
+# lam_j of the corner (a + b, b, 0) as coordinates on (a, b) = (alpha_1, alpha_2)
+LAM = ((1, 1), (0, 1), (0, 0))
+ROOTS = {r.coords: r for r in enumerate_real_roots(RGS, 2)}
+
+
+def _column_choices(first, second):
+    """Each choice of columns (j_0, j_1, j_2) with a finite entry in every
+    row, as its column counts and its constant sum_i v_{i j_i} - d: the
+    corner lam lies in `second` iff
+    constant + sum_j (1 - count_j) lam_j >= 0 for every choice."""
+    vals, det_val = _relative_frame(second, first)
+    for columns in itertools.product(range(3), repeat=3):
+        total = sum(row[j] for row, j in zip(vals, columns))
+        if total != float("inf"):
+            yield [columns.count(j) for j in range(3)], total - det_val
+
+
+def _choice_coords(counts):
+    """The (a, b) coordinates of sum_j (1 - count_j) lam_j."""
+    return tuple(sum((1 - c) * lam[i] for c, lam in zip(counts, LAM)) for i in range(2))
+
+
+def _exact_pairs():
+    """At least 450 pairs over GF(2), GF(3) and GF(4), complexity 0-4,
+    with equal apartments and the pairs campaigns once retried at window
+    12 (seeds 179, 282, 477)."""
+    pairs = [(MODEL, *_campaign_pair(MODEL, seed)) for seed in (179, 282, 477)]
+    for q in (2, 3, 4):
+        model = SL3Model(q=q)
+        rng = random.Random(70 + q)
+        for complexity in range(5):
+            for _ in range(30):
+                first = model.random_apartment(rng.getrandbits(48), complexity)
+                second = model.random_apartment(rng.getrandbits(48), rng.randrange(complexity + 1))
+                pairs.append((model, first, second))
+            pairs.append((model, first, first))
+    return pairs
+
+
+EXACT_PAIRS = _exact_pairs()
+
+
+class TestExactIntersection:
+    """`SL3Model.intersection` against membership read point by point off
+    `_diagonal_exponents`, on the 19 x 19 grid of alpha-values in [-9, 9]."""
+
+    def test_pair_count(self):
+        assert len(EXACT_PAIRS) >= 450
+
+    def test_matches_membership_on_the_grid(self):
+        kinds = set()
+        for model, first, second in EXACT_PAIRS:
+            fitted = model.intersection(first, second)
+            members = _grid_members(first, second)
+            got = {(a, b) for a, b in GRID if fitted.contains(_from_alpha(a, b))}
+            assert got == members, (model.field.q, len(members), len(got))
+            assert fitted.truncated_at in (None, model.root_height_bound) and fitted.exact
+            kinds.add("empty" if fitted.is_empty else len(fitted.halves))
+        # empty sets, the whole apartment and one to four halves all occur
+        assert kinds == {"empty", 0, 1, 2, 3, 4}
+
+    def test_equal_apartments_give_the_whole_apartment(self):
+        for model, first, _ in EXACT_PAIRS[3::31]:
+            fitted = model.intersection(first, first)
+            assert fitted == whole_apartment(RGS) and fitted.truncated_at is None
+
+    def test_single_column_choices_cut_nothing_more(self):
+        """The choices using one column three times have non-root normals;
+        adding them as Fourier-Motzkin rows leaves every set as it is, so
+        the intersection is cut by root half-apartments alone."""
+        tested = 0
+        for model, first, second in EXACT_PAIRS:
+            fitted = model.intersection(first, second)
+            if fitted.is_empty:
+                continue
+            for counts, constant in _column_choices(first, second):
+                if max(counts) == 3:
+                    a, b = _choice_coords(counts)
+                    form = tuple(a * x + b * y for x, y in zip(ALPHA1.form, ALPHA2.form))
+                    complement = (tuple(-c for c in form), Q(-constant), True)
+                    assert feasible(fitted.constraints() + [complement], 2) is None
+                    tested += 1
+        assert tested > 100
+
+    def test_each_column_once_cuts_nothing_more(self):
+        """A failing constant choice (each column once) empties the set; the
+        root half-apartments of the choices that repeat a column then
+        already have no common point, so emptiness too is read off root
+        half-apartments alone."""
+        failing = 0
+        for model, first, second in EXACT_PAIRS:
+            choices = list(_column_choices(first, second))
+            if all(constant >= 0 for counts, constant in choices if max(counts) == 1):
+                continue
+            failing += 1
+            assert model.intersection(first, second).is_empty
+            halves = [HalfApartment(ROOTS[_choice_coords(counts)], constant)
+                      for counts, constant in choices if max(counts) == 2]
+            assert EnclosedSet(RGS, halves).is_empty
+        assert failing > 40
+
+    def test_window_edge_artifact_of_seed_13(self):
+        """Trial 17 of the campaign with seed 13: the half alpha_2 + 4 >= 0
+        cuts off no point of the window of radius 6 that D(-alpha_1, -2)
+        keeps, so a fit to the window sees only the latter; the exact set
+        holds both."""
+        first, second = _campaign_pair(MODEL, 13, index=17)
+        report = check_MA2(MODEL, first, second, 6)
+        assert report.verdict == PASS
+        assert set(report.certificate("fitted").halves) == {
+            HalfApartment(ALPHA1.negated(), -2),
+            HalfApartment(ALPHA2, 4),
+        }
+
+    def test_apartments_meeting_outside_the_window(self):
+        """The apartments of the campaign with seed 267 meet in
+        alpha_2 <= -8, which the window misses: the report carries that set
+        and claims no emptiness."""
+        report = run_campaign({"model": "sl3", "trials": 1, "seed": 267})
+        assert report["summary"]["pass"] == 1
+        ma2 = report["trials"][0]["ma2"]
+        assert ma2["verdict"] == PASS
+        certificates = {c["name"]: c["value"] for c in ma2["certificates"]}
+        assert certificates["hits"] == 0
+        assert certificates["empty"] is False
+        assert certificates["fitted"]["halves"] == [{"root": [0, -1], "level": -8}]
+        assert not any("empty" in c["detail"] for c in ma2["checks"])

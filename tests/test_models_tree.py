@@ -14,8 +14,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from masures.apartment import HalfApartment, minus_infinity, plus_infinity
-from masures.errors import DegenerateSegment, InvalidWindow, MasureError, WindowTooSmall
+from masures.apartment import HalfApartment, empty_set, minus_infinity, plus_infinity, whole_apartment
+from masures.errors import DegenerateSegment, InvalidWindow, MasureError
 from masures.heckepath import FAIL, PASS
 from masures.kmcore import simple_root
 from masures.models import (
@@ -333,6 +333,100 @@ class TestIntersections:
         assert set(fitted.halves) == {HalfApartment(ALPHA, 0)}
 
 
+def shared_coordinates(first, second, reach):
+    """Coordinates n/2 with |n/2| <= reach whose point of `first` lies on
+    `second`: a vertex by `vertex_coord`, an edge point by charting it."""
+    out = set()
+    for n in range(-2 * reach, 2 * reach + 1):
+        x = Q(n, 2)
+        if x.denominator == 1:
+            shared = second.vertex_coord(first.vertex_at(int(x))) is not None
+        else:
+            shared = MODEL.apartment_coords(second, MODEL.chart(first, (x,))) is not None
+        if shared:
+            out.add(x)
+    return out
+
+
+def past_every_prefix(*apartments):
+    """A reach beyond which every vertex of the lines, on either side,
+    lies deeper than all their ends' prefixes."""
+    longest = max(len(e.prefix) for ap in apartments for e in (ap.minus, ap.plus))
+    return 2 * longest + 4
+
+
+class TestExactIntersection:
+    """`TreeModel.intersection` against a scan of the first line's points
+    out to coordinates past every prefix, where each ray either follows
+    an end of the second line forever or has left it."""
+
+    def assert_matches_the_scan(self, first, second) -> set:
+        reach = past_every_prefix(first, second)
+        fitted = MODEL.intersection(first, second)
+        shared = shared_coordinates(first, second, reach)
+        for n in range(-2 * reach, 2 * reach + 1):
+            assert fitted.contains((Q(n, 2),)) == (Q(n, 2) in shared), (first, second, n)
+        return shared
+
+    def test_shared_line(self):
+        for second in (STD, TreeApartment(STD.plus, STD.minus)):
+            shared = self.assert_matches_the_scan(STD, second)
+            assert len(shared) == 4 * past_every_prefix(STD) + 1
+            fitted = MODEL.intersection(STD, second)
+            assert fitted == whole_apartment(RGS)
+            assert fitted.truncated_at is None
+
+    def test_shared_ray(self):
+        ap = TreeApartment(TreeEnd((2,), 1), STD.plus)
+        self.assert_matches_the_scan(STD, ap)
+        assert set(MODEL.intersection(STD, ap).halves) == {HalfApartment(ALPHA, 0)}
+        # in `ap`'s chart, too, the shared ray starts at its divergence vertex
+        self.assert_matches_the_scan(ap, STD)
+        assert set(MODEL.intersection(ap, STD).halves) == {HalfApartment(ALPHA, 0)}
+
+    def test_segment(self):
+        ap = TreeApartment(TreeEnd((2,), 1), TreeEnd((1, 1, 1, 2), 1))
+        self.assert_matches_the_scan(STD, ap)
+        fitted = MODEL.intersection(STD, ap)
+        assert set(fitted.halves) == {HalfApartment(ALPHA, 0), HalfApartment(ALPHA.negated(), 3)}
+        assert (fitted.truncated_at, fitted.exact) == (1, True)
+
+    def test_single_vertex(self):
+        """Two lines through the vertex 11 leaving it by different edges;
+        in the binary tree two lines through a vertex share an edge, so
+        this needs three children per vertex."""
+        ap = TreeApartment(TreeEnd((1, 1, 2), 3), TreeEnd((1, 1, 3), 2))
+        assert self.assert_matches_the_scan(STD, ap) == {Q(2)}
+        assert set(MODEL.intersection(STD, ap).halves) == {
+            HalfApartment(ALPHA, -2),
+            HalfApartment(ALPHA.negated(), 2),
+        }
+
+    def test_empty(self):
+        ap = TreeApartment(TreeEnd((2,), 1), TreeEnd((2, 2), 1))
+        assert self.assert_matches_the_scan(STD, ap) == set()
+        assert MODEL.intersection(STD, ap) == empty_set(RGS)
+
+    def test_random_pairs(self):
+        kinds = set()
+        for q in (2, 3):
+            model = TreeModel(q=q)
+            rng = random.Random(60 + q)
+            for _ in range(150):
+                first = model.random_apartment(rng.getrandbits(32), rng.randrange(9))
+                second = model.random_apartment(rng.getrandbits(32), rng.randrange(9))
+                for a, b in ((first, second), (second, first), (first, first)):
+                    shared = self.assert_matches_the_scan(a, b)
+                    fitted = MODEL.intersection(a, b)
+                    if fitted.is_empty:
+                        kinds.add("empty")
+                    elif len(shared) == 1:
+                        kinds.add("vertex")
+                    else:
+                        kinds.add(("line", "ray", "segment")[len(fitted.halves)])
+        assert kinds == {"empty", "vertex", "line", "ray", "segment"}
+
+
 class TestCheckMA2:
     def test_identical_apartments(self):
         report = check_MA2(MODEL, STD, STD, 8)
@@ -366,21 +460,62 @@ class TestCheckMA2:
         with pytest.raises(InvalidWindow):
             intersect_with_standard(MODEL, ap, radius)
 
-    def test_window_too_small_then_enlarged(self):
-        """Two apartments sharing more line than the window can see: no
-        windowed verdict is defensible, and doubling the radius fixes it."""
+    def test_shared_segment_wider_than_the_window(self):
+        """Two apartments sharing more line than the window can see: the
+        window of radius 16 is all members, and the verdict still names
+        the whole shared segment, -21..20."""
         deep = TreeApartment(
             TreeEnd((0,) + (1,) * 20 + (2,), 1), TreeEnd((1,) * 20 + (2,), 1)
         )
-        with pytest.raises(WindowTooSmall):
-            check_MA2(MODEL, STD, deep, 16)
-        report = check_MA2(MODEL, STD, deep, 32)
+        report = check_MA2(MODEL, STD, deep, 16)
         assert report.verdict == PASS
+        assert report.certificate("window_radius") == 16
+        assert report.certificate("hits") == 33
         fitted = report.certificate("fitted")
         assert set(fitted.halves) == {
             HalfApartment(ALPHA, 21),
             HalfApartment(ALPHA.negated(), 20),
         }
+
+    def test_apartments_meeting_outside_the_window(self):
+        """The lines share the segment 20..25, which the window of radius 16
+        misses: the report carries that segment, not an empty set."""
+        far = TreeApartment(TreeEnd((1,) * 20 + (2,), 1), TreeEnd((1,) * 25 + (2,), 1))
+        report = check_MA2(MODEL, STD, far, 16)
+        assert report.verdict == PASS
+        assert report.certificate("hits") == 0
+        assert report.certificate("empty") is False
+        assert set(report.certificate("fitted").halves) == {
+            HalfApartment(ALPHA, -20),
+            HalfApartment(ALPHA.negated(), 25),
+        }
+        assert [c.detail for c in report.checks] == [
+            "0 members match the fit on 33 sampled points",
+            "no sampled segment leaves the intersection",
+            "no sampled member to carry",
+        ]
+
+    def test_member_outside_the_exact_set_fails(self):
+        """A model that also reports -3 of the standard line as lying on a
+        line sharing only the ray from 0: the fit names that member, and
+        the convexity witness, -2 between -3 and 0, lies outside the exact
+        set, where the search must still find it."""
+        ray = TreeApartment(TreeEnd((2,), 1), STD.plus)
+
+        class Stretched(TreeModel):
+            def apartment_coords(self, apartment, point):
+                if apartment == ray and point == self.chart(STD, (Q(-3),)):
+                    return (Q(-3),)
+                return super().apartment_coords(apartment, point)
+
+        report = check_MA2(Stretched(q=2), STD, ray, 8)
+        assert report.verdict == FAIL
+        checks = {c.name: (c.verdict, c.detail) for c in report.checks}
+        assert checks["enclosure-fit"] == (FAIL, "member (Fraction(-3, 1),) outside the fitted set")
+        assert checks["convexity"] == (
+            FAIL,
+            "non-member (Fraction(-2, 1),) between members ((Fraction(-3, 1),), (Fraction(0, 1),))",
+        )
 
     def test_shifted_images_have_no_intertwiner(self):
         """A model that moves every image with positive coordinate one step
@@ -407,21 +542,14 @@ class TestCheckMA2:
         for _ in range(30):
             first = MODEL.random_apartment(rng.getrandbits(32), rng.randrange(9))
             second = MODEL.random_apartment(rng.getrandbits(32), rng.randrange(9))
-            window = 16
-            for _ in range(3):
-                try:
-                    report = check_MA2(MODEL, first, second, window)
-                    break
-                except WindowTooSmall:
-                    window *= 2
-            assert report.verdict == PASS
+            assert check_MA2(MODEL, first, second, 16).verdict == PASS
 
     @pytest.mark.parametrize(
         "target, fit_detail, convexity_detail",
         [
             (
                 TreeApartment(TreeEnd((2,), 1), STD.plus),
-                "non-member (Fraction(3, 1),) inside the fitted set",
+                "non-member (Fraction(0, 1),) inside the fitted set",
                 "non-member (Fraction(3, 1),) between members "
                 "((Fraction(1, 1),), (Fraction(4, 1),))",
             ),
@@ -436,7 +564,9 @@ class TestCheckMA2:
     def test_planted_non_convex_sample_fails(self, target, fit_detail, convexity_detail):
         """A model that drops coordinates 0 and 3 from one apartment makes
         its sampled intersection with the standard one non-convex; both the
-        fit and the convexity check must FAIL with a certificate."""
+        fit and the convexity check must FAIL with a certificate.  The fit
+        names the first non-member inside the exact set, 0 in both cases;
+        the convexity witness is the first non-member between two members."""
 
         class Punctured(TreeModel):
             def apartment_coords(self, apartment, point):

@@ -1,4 +1,5 @@
-"""Every name the benchmark's tracer patches still exists.
+"""Every name the benchmark's tracer patches still exists, and the
+reports its workloads check still carry what they read.
 
 `perfbench/tracer.py` wraps package functions by module and attribute
 path; a rename or deletion would otherwise surface only in a traced
@@ -9,6 +10,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from masures.cli import run_campaign
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,3 +51,24 @@ def test_linalg_function_resolves(name):
 
 def test_tables_are_not_empty():
     assert TRACER_MODULE.TARGETS and TRACER_MODULE.LINALG_FUNCTIONS
+
+
+def test_window_too_small_resolves():
+    # the tracer's check_MA2 hook counts it as a window retry
+    assert issubclass(_resolve("masures.errors", "WindowTooSmall"), Exception)
+
+
+@pytest.mark.parametrize("model", ["tree", "sl3"])
+def test_one_trial_campaign_has_what_the_workloads_check(model):
+    """`CampaignWorkload.check` in `perfbench/workloads.py` reads the
+    summary's verdict counts and `window_retries`, the trial's
+    `window_radius` (the configured one shifted left by the retries) and
+    the `hits` certificate of its MA2 report."""
+    report = run_campaign({"model": model, "trials": 1, "seed": 5})
+    summary = report["summary"]
+    assert (summary["pass"], summary["fail"], summary["inconclusive"]) == (1, 0, 0)
+    assert summary["window_retries"] == 0
+    trial = report["trials"][0]
+    assert trial["window_radius"] == report["config"]["window_radius"] << summary["window_retries"]
+    certificates = {c["name"]: c["value"] for c in trial["ma2"]["certificates"]}
+    assert isinstance(certificates["hits"], int) and certificates["hits"] > 0
