@@ -15,6 +15,7 @@ byte-identical across re-runs and trial order.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -287,6 +288,15 @@ _CONFIG_MINIMUMS = {
 }
 
 
+@functools.lru_cache(maxsize=8)
+def _model(model_class: type, q: int):
+    """The model of this class and q, built once per process: models hold
+    no state a campaign changes (SL3's last relative frame is keyed by
+    apartment identity and keeps both apartments alive), so every campaign
+    may share one."""
+    return model_class(q=q)
+
+
 def _fill_config(raw: dict):
     """The config with defaults filled in, and the model it describes."""
     if not isinstance(raw, dict):
@@ -315,7 +325,7 @@ def _fill_config(raw: dict):
             raise _CliError("BadConfig", f"config {key} must be at least {least}, not {value}")
     if "output" in config and not isinstance(config["output"], str):
         raise _CliError("BadConfig", f"config output must be a file name, not {config['output']!r}")
-    model = (TreeModel if kind == "tree" else SL3Model)(q=config["q"])
+    model = _model(TreeModel if kind == "tree" else SL3Model, config["q"])
     config.setdefault("height_bound", model.root_height_bound)
     config.setdefault("length_bound", model.weyl_length_bound)
     return config, model

@@ -75,6 +75,11 @@ class InvalidWindow(MasureError, ValueError):
     that was never sampled; 1 is also the least `verify-theorem` accepts."""
 
 
+class UnsupportedGerm(MasureError, ValueError):
+    """A retraction asked for from a sector germ other than the ones at
+    +infinity and -infinity, the only germs the models retract from."""
+
+
 class InvalidBound(MasureError, ValueError):
     """A root height or Weyl length bound below its least value.  A negative
     bound holds no root and no Weyl element, so a saturation or

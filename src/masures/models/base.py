@@ -44,7 +44,13 @@ from ..apartment import (
     root_table,
     walls_crossed,
 )
-from ..errors import DegenerateSegment, DimensionMismatch, InvalidWindow, MasureError
+from ..errors import (
+    DegenerateSegment,
+    DimensionMismatch,
+    InvalidWindow,
+    MasureError,
+    UnsupportedGerm,
+)
 from ..heckepath import FAIL, PASS, PLPath
 from ..kmcore import (
     RootGeneratingSystem,
@@ -101,7 +107,22 @@ class MasureModel(ABC):
 
     @abstractmethod
     def point_retract(self, point, germ: SectorGerm) -> Vector:
-        """Standard-apartment coordinates of the retracted point."""
+        """Standard-apartment coordinates of the retracted point; a germ
+        other than those at +infinity and -infinity raises UnsupportedGerm."""
+
+    @functools.cached_property
+    def _infinite_germs(self) -> tuple[SectorGerm, SectorGerm]:
+        return minus_infinity(self.rgs), plus_infinity(self.rgs)
+
+    def _germ_sign(self, germ: SectorGerm) -> int:
+        """-1 for the germ at minus infinity and +1 for plus infinity; any
+        other germ raises UnsupportedGerm."""
+        minus, plus = self._infinite_germs
+        if germ == minus:
+            return -1
+        if germ == plus:
+            return 1
+        raise UnsupportedGerm("retraction is only available from the germs at +infinity and -infinity")
 
     @abstractmethod
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
@@ -134,9 +155,8 @@ class MasureModel(ABC):
 
 
 def _validate_germ(model: MasureModel, germ: SectorGerm) -> SectorGerm:
-    if germ == plus_infinity(model.rgs) or germ == minus_infinity(model.rgs):
-        return germ
-    raise ValueError("retraction is only available from the germs at +infinity and -infinity")
+    model._germ_sign(germ)
+    return germ
 
 
 def retract(model: MasureModel, point, germ: SectorGerm) -> Vector:
@@ -170,9 +190,10 @@ def retract_segment(
         raise DegenerateSegment("retracting a constant segment")
 
     times = [Q(0)] + [t for t, _ in walls_crossed(rgs, a, b, height_bound)] + [Q(1)]
+    step = linalg.sub(b, a)
 
     def image(t: Q) -> Vector:
-        x = linalg.add(a, linalg.scale(t, linalg.sub(b, a)))
+        x = linalg.add(a, linalg.scale(t, step))
         return model.point_retract(model.chart(apartment, x), germ)
 
     values = [image(t) for t in times]

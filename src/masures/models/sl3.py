@@ -13,10 +13,11 @@ group W^v x Q^vee rather than its type-rotating extension.
 
 Apartment coordinates live in the realization of the A2 matrix; a point x
 has alpha_1(x) = lam1 - lam2 and alpha_2(x) = lam2 - lam3, both integers
-exactly at the special points.  Non-special points are barycenters of the
-corners of their alcove; a point keeps the apartment it was charted
-through and, for each corner, the coweight lam of its lattice class and
-its barycentric weight.
+exactly at the special points.  A point keeps the apartment it was charted
+through and its alpha-values (a, b); non-special points are barycenters of
+the corners of their alcove, and those corners, each with the coweight
+lam of its lattice class and its barycentric weight, are built only when
+membership or equality reads them.
 
 Membership and retraction are read exactly off valuations of minors of
 polynomial matrices, with no division.  A corner class L = g . diag(t^-lam)
@@ -27,7 +28,12 @@ Triangularizing a matrix over F_q[[t]] in the row order (r0, r1, r2) gives
 pivot exponents whose partial sums are the least valuations of its minors
 on rows {r0}, {r0, r1} and all three rows; order (0,1,2) reads off the
 retraction from minus infinity and (2,1,0) that from plus infinity.
-Frames are exact Laurent polynomials, so each of these numbers is exact.
+Those least valuations are minima of integer-affine functions of lam that
+break only where some lam_j - lam_k is an integer, that is on walls, so
+the retraction is affine on each alcove and is read once at the point's
+own rational coweight lam = (a + b, b, 0), scaled to integers by the
+common denominator of a and b.  Frames are exact Laurent polynomials, so
+each of these numbers is exact.
 
 Point equality is a membership reading too.  Every apartment charts the
 model apartment injectively, so two points are equal exactly when one
@@ -45,7 +51,7 @@ import random
 from fractions import Fraction as Q
 from typing import Sequence
 
-from ..apartment import EnclosedSet, HalfApartment, empty_set, minus_infinity, whole_apartment
+from ..apartment import EnclosedSet, HalfApartment, empty_set, whole_apartment
 from ..errors import DimensionMismatch, MasureError, PrecisionExhausted
 from ..kmcore import (
     RootGeneratingSystem,
@@ -222,19 +228,29 @@ def _valuations(A: Matrix) -> tuple[tuple, ...]:
 
 
 class SL3Point:
-    """Barycenter of alcove corners of one apartment's chart.
+    """Point of one apartment's chart, kept as its alpha-values (a, b).
 
-    Each corner is a (lam, weight) pair standing for the class of
-    frame . diag(t^-lam).  Two points are equal when the membership
-    reading of one in the other's apartment gives the other's own
-    alpha-values; a point hashes as its retraction from minus infinity.
+    `corners` are the (lam, weight) pairs of its alcove's corners, each
+    standing for the class of frame . diag(t^-lam), built on first read.
+    Two points are equal when the membership reading of one in the other's
+    apartment gives the other's own alpha-values; a point hashes as its
+    retraction from minus infinity.
     """
 
-    __slots__ = ("apartment", "corners")
+    __slots__ = ("apartment", "alpha", "_corners")
 
-    def __init__(self, apartment: SL3Apartment, corners):
+    def __init__(self, apartment: SL3Apartment, alpha: tuple[Q, Q]):
         self.apartment = apartment
-        self.corners = tuple(corners)
+        self.alpha = alpha
+        self._corners = None
+
+    @property
+    def corners(self) -> tuple:
+        if self._corners is None:
+            self._corners = tuple(
+                ((ca + cb, cb, 0), w) for ca, cb, w in _alcove_corners(*self.alpha)
+            )
+        return self._corners
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SL3Point):
@@ -242,14 +258,13 @@ class SL3Point:
         g, h = self.apartment, other.apartment
         if g.matrix[0][0].field != h.matrix[0][0].field:
             return False
-        own = _barycenter(([-e for e in lam], w) for lam, w in other.corners)
-        return _membership(*_relative_frame(h, g), self.corners) == own
+        return _membership(*_relative_frame(h, g), self.corners) == other.alpha
 
     def __hash__(self) -> int:
         return hash(_retraction(self, (0, 1, 2)))
 
     def __repr__(self) -> str:
-        return f"SL3Point({len(self.corners)} corners)"
+        return f"SL3Point(alpha=({self.alpha[0]}, {self.alpha[1]}))"
 
 
 class SL3Apartment:
@@ -277,19 +292,24 @@ class SL3Apartment:
         return "SL3Apartment(...)"
 
 
-def _pivots(g: SL3Apartment, lam: Sequence[int], row_order: Sequence[int]) -> tuple[int, int, int]:
+def _pivots(
+    g: SL3Apartment, lam: Sequence[int], row_order: Sequence[int], scale: int = 1
+) -> tuple[int, int, int]:
     """Pivot exponents of the triangular form of g . diag(t^-lam) in the
     given row order (r0, r1, r2), without forming it: their partial sums
     are the least valuations of the minors on rows {r0}, {r0, r1} and all
     rows, and the 2x2 minors on rows {r0, r1} are, up to sign, the
-    adjugate entries adj(g)[c][r2], one for each dropped column c."""
+    adjugate entries adj(g)[c][r2], one for each dropped column c.  Every
+    exponent is a minimum of functions linear in (lam, valuations), so
+    with the valuations times `scale` this returns `scale` times the
+    exponents at lam / scale."""
     r0, r1, r2 = row_order
     total = sum(lam)
-    top = min(g._adj_vals[c][r2] - (total - lam[c]) for c in range(3))
+    top = min(scale * g._adj_vals[c][r2] - (total - lam[c]) for c in range(3))
     d = [0, 0, 0]
-    d[r0] = min(v - e for v, e in zip(g._vals[r0], lam))
+    d[r0] = min(scale * v - e for v, e in zip(g._vals[r0], lam))
     d[r1] = top - d[r0]
-    d[r2] = g._det_val - total - top
+    d[r2] = scale * g._det_val - total - top
     return tuple(d)
 
 
@@ -337,10 +357,19 @@ def _membership(vals, det_val: int, corners) -> tuple[Q, Q] | None:
     return (a, b) if sorted(_alcove_corners(a, b)) == got else None
 
 
-def _retraction(point: SL3Point, row_order: Sequence[int]) -> tuple[Q, Q]:
-    """Alpha-values of the point's retraction, from minus infinity for row
-    order (0, 1, 2) and from plus infinity for (2, 1, 0)."""
-    return _barycenter((_pivots(point.apartment, lam, row_order), w) for lam, w in point.corners)
+def _retraction(point: SL3Point, row_order: Sequence[int]) -> Vector:
+    """Realization coordinates of the point's retraction, from minus
+    infinity for row order (0, 1, 2) and from plus infinity for (2, 1, 0).
+    The pivots are affine on each alcove, so their barycenter over the
+    corners is their reading at the point's own coweight (a + b, b, 0),
+    taken in integers times the common denominator of a and b."""
+    a, b = point.alpha
+    scale = math.lcm(a.denominator, b.denominator)
+    a_n = a.numerator * (scale // a.denominator)
+    b_n = b.numerator * (scale // b.denominator)
+    e0, e1, e2 = _pivots(point.apartment, (a_n + b_n, b_n, 0), row_order, scale)
+    # the class diag(t^e) has coweight -e, so alpha-values (e1 - e0, e2 - e1)
+    return _from_alpha(e1 - e0, e2 - e1, scale)
 
 
 def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
@@ -357,9 +386,10 @@ def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
     return [(ca, cb, w) for ca, cb, w in raw if w > 0]
 
 
-def _from_alpha(a, b) -> Vector:
-    """Realization coordinates of the point with alpha-values (a, b)."""
-    return (Q(2 * a + b, 3), Q(a + 2 * b, 3))
+def _from_alpha(a, b, scale: int = 1) -> Vector:
+    """Realization coordinates of the point with alpha-values
+    (a / scale, b / scale)."""
+    return (Q(2 * a + b, 3 * scale), Q(a + 2 * b, 3 * scale))
 
 
 # simple-root coordinates of lam_m - lam_k, keyed (m, k), where alpha_1 is
@@ -402,12 +432,12 @@ class SL3Model(MasureModel):
         if len(coords) != 2:
             raise DimensionMismatch("apartment coordinates have dimension 2")
         x1, x2 = (Q(c) for c in coords)
-        return (2 * x1 - x2, -x1 + 2 * x2)
+        n1, d1, n2, d2 = x1.numerator, x1.denominator, x2.numerator, x2.denominator
+        # (2 x1 - x2, -x1 + 2 x2) over the common denominator d1 d2
+        return (Q(2 * n1 * d2 - n2 * d1, d1 * d2), Q(2 * n2 * d1 - n1 * d2, d1 * d2))
 
     def chart(self, apartment: SL3Apartment, coords: Sequence) -> SL3Point:
-        a, b = self._alpha_values(coords)
-        corners = [((ca + cb, cb, 0), w) for ca, cb, w in _alcove_corners(a, b)]
-        return SL3Point(apartment, corners)
+        return SL3Point(apartment, self._alpha_values(coords))
 
     def _relative(self, h: SL3Apartment, g: SL3Apartment):
         """`_relative_frame(h, g)`; the last pair asked for is kept, since
@@ -423,8 +453,7 @@ class SL3Model(MasureModel):
         return None if reading is None else _from_alpha(*reading)
 
     def point_retract(self, point: SL3Point, germ) -> Vector:
-        order = (0, 1, 2) if germ == minus_infinity(self._rgs) else (2, 1, 0)
-        return _from_alpha(*_retraction(point, order))
+        return _retraction(point, (0, 1, 2) if self._germ_sign(germ) < 0 else (2, 1, 0))
 
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
         return _window(window_radius)[0]

@@ -28,7 +28,6 @@ from ..apartment import (
     HalfApartment,
     SectorGerm,
     empty_set,
-    minus_infinity,
     whole_apartment,
 )
 from ..errors import DimensionMismatch, MasureError
@@ -202,7 +201,9 @@ class TreeModel(MasureModel):
         return 0, 0
 
     def point_retract(self, point: TreePoint, germ: SectorGerm) -> Vector:
-        sign = 1 if germ == minus_infinity(self._rgs) else -1
+        # each level a vertex lies off the standard line moves its image
+        # one step away from the germ's end
+        sign = -self._germ_sign(germ)
 
         def vertex_image(word: Word) -> int:
             depth, coord = self._standard_prefix_coord(word)

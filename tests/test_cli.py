@@ -408,6 +408,27 @@ class TestVerifyTheorem:
         assert a == b
 
     @pytest.mark.parametrize(
+        "config, others",
+        [
+            ({"model": "sl3", "trials": 3, "seed": 13},
+             [{"model": "tree", "trials": 2, "seed": 9}, {"model": "sl3", "q": 3, "trials": 2, "seed": 21}]),
+            ({"model": "tree", "trials": 4, "seed": 9},
+             [{"model": "sl3", "trials": 2, "seed": 13}, {"model": "tree", "q": 3, "trials": 2, "seed": 5}]),
+        ],
+    )
+    def test_shared_models_keep_reports_byte_identical(self, config, others):
+        """Each model is built once per process and shared by every
+        campaign; a report is the same run cold, after campaigns of the
+        other model or another q, and twice in a row."""
+        cli._model.cache_clear()
+        cold = serialize.dumps(run_campaign(dict(config)))
+        for other in others:
+            run_campaign(other)
+            assert serialize.dumps(run_campaign(dict(config))) == cold
+        assert serialize.dumps(run_campaign(dict(config))) == cold
+        assert cli._fill_config(config)[1] is cli._fill_config(dict(config))[1]
+
+    @pytest.mark.parametrize(
         "config, digest",
         [
             ({"model": "tree", "q": 2, "trials": 300, "seed": 11}, "5d7dfafbd7c970af"),

@@ -7,6 +7,7 @@ frames that is a finite exact computation.  Point equality is then
 required to agree with mutual inclusion of the corner lattices.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction as Q
@@ -22,7 +23,7 @@ from masures.apartment import (
     whole_apartment,
 )
 from masures.cli import derive_seed, run_campaign
-from masures.errors import InvalidWindow, MasureError, PrecisionExhausted
+from masures.errors import InvalidWindow, MasureError, PrecisionExhausted, UnsupportedGerm
 from masures.fourier_motzkin import feasible
 from masures.heckepath import PASS, verify_growth
 from masures.kmcore import enumerate_real_roots, simple_root, weyl_ball_complete, weyl_word
@@ -481,12 +482,141 @@ class TestRetractions:
         with pytest.raises(ValueError):
             retract(MODEL, p, SectorGerm(weyl_word(RGS, (0,)), 1))
 
+    @pytest.mark.parametrize("word, sign", [((0,), 1), ((1,), -1), ((0, 1), 1)])
+    def test_other_germs_are_refused_by_the_model(self, word, sign):
+        """Passed straight to the model, a germ other than +-infinity
+        raises instead of being read as +infinity."""
+        germ = SectorGerm(weyl_word(RGS, word), sign)
+        p = MODEL.chart(MODEL.random_apartment(5, 3), (Q(1, 3), Q(2, 5)))
+        with pytest.raises(UnsupportedGerm) as caught:
+            MODEL.point_retract(p, germ)
+        assert isinstance(caught.value, ValueError)
+        with pytest.raises(UnsupportedGerm):
+            retract_segment(MODEL, STD, (Q(0), Q(0)), (Q(1), Q(1, 2)), germ, 2)
+
     def test_retracted_segment_is_a_hecke_path(self):
         ap = SL3Apartment(_unipotent(0))
         path = retract_segment(
             MODEL, ap, (Q(3, 2), Q(1, 4)), (Q(-5, 4), Q(-2)), minus_infinity(RGS), 2
         )
         assert verify_growth(RGS, path, 2, 3).verdict == PASS
+
+
+@functools.lru_cache(maxsize=None)
+def _triangular_pivots(apartment, lam, row_order):
+    field = apartment.matrix[0][0].field
+    M = _matmul(apartment.matrix, _diag(field, [-e for e in lam]))
+    return _triangularize(M, 40, row_order).pivots
+
+
+def oracle_retraction(point, germ_sign):
+    """The retraction read corner by corner: the pivots of the triangular
+    form of frame . diag(t^-lam) at each corner of the point's alcove,
+    averaged with the corners' weights; realization coordinates."""
+    order = (0, 1, 2) if germ_sign < 0 else (2, 1, 0)
+    a = b = Q(0)
+    for lam, w in point.corners:
+        e = _triangular_pivots(point.apartment, lam, order)
+        a += w * (e[1] - e[0])
+        b += w * (e[2] - e[1])
+    return _from_alpha(a, b)
+
+
+def _fraction(rng, whole):
+    """A rational in [-4, 5) with denominator up to 12: an integer when
+    `whole`, never one otherwise."""
+    if whole:
+        return Q(rng.randint(-4, 4))
+    d = rng.randint(2, 12)
+    n = rng.choice([k for k in range(-4 * d, 5 * d) if k % d])
+    return Q(n, d)
+
+
+def _placed_points(rng):
+    """Alpha-values (a, b), with the number of alcove corners each must
+    have: vertices (on a wall of each of the three directions; in A2 two
+    walls meet only at vertices), points on exactly one wall a, b or
+    a + b in Z, and alcove interiors."""
+    out = []
+    for _ in range(3):
+        out.append(((_fraction(rng, True), _fraction(rng, True)), 1))
+        out.append(((_fraction(rng, True), _fraction(rng, False)), 2))
+        out.append(((_fraction(rng, False), _fraction(rng, True)), 2))
+        a = _fraction(rng, False)
+        out.append(((a, _fraction(rng, True) - a), 2))
+        while True:
+            a, b = _fraction(rng, False), _fraction(rng, False)
+            if (a + b).denominator != 1:
+                break
+        out.append(((a, b), 3))
+    return out
+
+
+class TestClosedFormRetraction:
+    """`point_retract` reads the pivots once at the point's own rational
+    coweight; the oracle is the corner-by-corner reading of the triangular
+    form, which never goes through `_pivots`."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_points_match_the_corner_reading(self, q):
+        model = SL3Model(q=q)
+        rng = random.Random(900 + q)
+        germs = ((minus_infinity(model.rgs), -1), (plus_infinity(model.rgs), 1))
+        moved = 0
+        for complexity in range(5):
+            for _ in range(1 if q == 9 else 2):
+                ap = model.random_apartment(rng.getrandbits(48), complexity)
+                for (a, b), corners in _placed_points(rng):
+                    p = model.chart(ap, _from_alpha(a, b))
+                    assert p.alpha == (a, b)
+                    assert len(p.corners) == corners
+                    assert sum(w for _, w in p.corners) == 1
+                    for germ, sign in germs:
+                        got = model.point_retract(p, germ)
+                        assert got == oracle_retraction(p, sign)
+                        moved += got != _from_alpha(a, b)
+        # the frames move points, so the readings are not all the identity
+        assert moved
+
+    def test_segment_knots_match_the_corner_reading(self):
+        rng = random.Random(77)
+        germs = ((minus_infinity(RGS), -1), (plus_infinity(RGS), 1))
+        knots = 0
+        for _ in range(200):
+            ap = MODEL.random_apartment(rng.getrandbits(48), rng.randrange(5))
+            while True:
+                a = tuple(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+                b = tuple(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+                if a != b:
+                    break
+            for germ, sign in germs:
+                path = retract_segment(MODEL, ap, a, b, germ, 2)
+                for t, v in zip(path.times, path.points):
+                    x = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+                    assert v == oracle_retraction(MODEL.chart(ap, x), sign)
+                    knots += 1
+        # more knots than the 800 endpoints: the segments cross walls
+        assert knots > 2 * 2 * 200
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_equal_points_through_two_apartments_hash_equal(self, q):
+        model = SL3Model(q=q)
+        rng = random.Random(60 + q)
+        grid = [(Q(i, 6), Q(j, 6)) for i in range(-12, 13, 5) for j in range(-12, 13, 7)]
+        shared = 0
+        for _ in range(6):
+            first = model.random_apartment(rng.getrandbits(48), rng.randrange(1, 4))
+            second = model.random_apartment(rng.getrandbits(48), rng.randrange(1, 4))
+            for a, b in grid:
+                p = model.chart(first, _from_alpha(a, b))
+                y = model.apartment_coords(second, p)
+                if y is None:
+                    continue
+                p2 = model.chart(second, y)
+                assert p == p2 and p2 == p
+                assert hash(p) == hash(p2)
+                shared += len(p.corners) > 1
+        assert shared
 
 
 # -- apartment intersections ------------------------------------------------------------

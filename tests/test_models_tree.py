@@ -14,10 +14,17 @@ from fractions import Fraction as Q
 
 import pytest
 
-from masures.apartment import HalfApartment, empty_set, minus_infinity, plus_infinity, whole_apartment
-from masures.errors import DegenerateSegment, InvalidWindow, MasureError
+from masures.apartment import (
+    HalfApartment,
+    SectorGerm,
+    empty_set,
+    minus_infinity,
+    plus_infinity,
+    whole_apartment,
+)
+from masures.errors import DegenerateSegment, InvalidWindow, MasureError, UnsupportedGerm
 from masures.heckepath import FAIL, PASS
-from masures.kmcore import simple_root
+from masures.kmcore import simple_root, weyl_word
 from masures.models import (
     TreeApartment,
     TreeEnd,
@@ -269,6 +276,21 @@ class TestRetractions:
     def test_degenerate_segment_rejected(self):
         with pytest.raises(DegenerateSegment):
             retract_segment(MODEL, STD, (Q(1),), (Q(1),), minus_infinity(RGS), 1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_other_germs_are_refused(self, sign):
+        """A germ other than +-infinity, passed to the model directly or
+        through `retract` and `retract_segment`, raises instead of being
+        read as one of them."""
+        germ = SectorGerm(weyl_word(RGS, (0,)), sign)
+        point = MODEL.chart(MODEL.random_apartment(5, 3), (Q(1, 3),))
+        with pytest.raises(UnsupportedGerm):
+            MODEL.point_retract(point, germ)
+        with pytest.raises(UnsupportedGerm) as caught:
+            retract(MODEL, point, germ)
+        assert isinstance(caught.value, ValueError)
+        with pytest.raises(UnsupportedGerm):
+            retract_segment(MODEL, STD, (Q(0),), (Q(1),), germ, 1)
 
     def test_separation(self):
         """Retractions from the two germs coincide exactly on segments that
