@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegenerateSegment, DimensionMismatch, EmptyInput, NotARealRoot
@@ -301,15 +301,26 @@ def enclosure_of(
     )
 
 
+class IntegerForms(NamedTuple):
+    """The positive roots of height <= a bound in coordinate order, each
+    with its form as an integer row over one common denominator and its
+    coroot as an integer row over another."""
+
+    denom: int
+    roots: tuple[Root, ...]
+    rows: tuple[tuple[int, ...], ...]
+    coroot_denom: int
+    coroots: tuple[tuple[int, ...], ...]
+
+
 @functools.lru_cache(maxsize=None)
-def _integer_forms(
-    rgs: RootGeneratingSystem, height_bound: int
-) -> tuple[int, tuple[tuple[Root, tuple[int, ...]], ...]]:
-    """The positive roots in coordinate order, each with its form as an
-    integer row over one common denominator, and that denominator."""
-    roots = sorted(positive_roots(rgs, height_bound), key=lambda r: r.coords)
-    denom, forms = linalg.clear_denominators([r.form for r in roots])
-    return denom, tuple(zip(roots, forms))
+def _integer_forms(rgs: RootGeneratingSystem, height_bound: int) -> IntegerForms:
+    """The `IntegerForms` of the positive roots of height <= height_bound,
+    built once per process for each system and bound."""
+    roots = tuple(sorted(positive_roots(rgs, height_bound), key=lambda r: r.coords))
+    denom, rows = linalg.clear_denominators([r.form for r in roots])
+    coroot_denom, coroots = linalg.clear_denominators([r.coroot for r in roots])
+    return IntegerForms(denom, roots, tuple(rows), coroot_denom, tuple(coroots))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,12 +361,12 @@ def root_table(
 ) -> RootTable:
     """The `RootTable` of the positive roots of height <= height_bound at
     the points, built once per process for each distinct argument."""
-    denom, forms = _integer_forms(rgs, height_bound)
+    forms = _integer_forms(rgs, height_bound)
     scale, cleared = linalg.clear_denominators(points)
     rows = tuple(
-        tuple(sum(f * x for f, x in zip(form, p)) for _, form in forms) for p in cleared
+        tuple(sum(f * x for f, x in zip(form, p)) for form in forms.rows) for p in cleared
     )
-    return RootTable(points, denom * scale, tuple(r for r, _ in forms), rows)
+    return RootTable(points, forms.denom * scale, forms.roots, rows)
 
 
 def segment_values(
@@ -368,24 +379,34 @@ def segment_values(
     b = _as_point(rgs, b)
     if a == b:
         raise DegenerateSegment("walls_crossed of a single point")
-    denom, rows = _integer_forms(rgs, height_bound)
     scale, (ia, ib) = linalg.clear_denominators((a, b))
-    return denom * scale, tuple(
-        (root, sum(r * x for r, x in zip(row, ia)), sum(r * x for r, x in zip(row, ib)))
-        for root, row in rows
+    return integer_values(_integer_forms(rgs, height_bound), scale, ia, ib)
+
+
+def integer_values(
+    forms: IntegerForms, scale: int, a: Sequence[int], b: Sequence[int]
+) -> tuple[int, tuple[tuple[Root, int, int], ...]]:
+    """`segment_values` of the points a / scale and b / scale, given as
+    integer vectors."""
+    return forms.denom * scale, tuple(
+        (root, sum(r * x for r, x in zip(row, a)), sum(r * x for r, x in zip(row, b)))
+        for root, row in zip(forms.roots, forms.rows)
     )
 
 
-def crossing_groups(
+def crossing_runs(
     m: int, values: Sequence[tuple[Root, int, int]]
-) -> Iterator[tuple[Q, tuple[Wall, ...]]]:
-    """The walls the open segment crosses, lazily, grouped by time.
+) -> tuple[int, Iterator[tuple[int, int, int]]]:
+    """The walls the open segment crosses, lazily, as integers.
 
-    `m` and `values` are as `segment_values` returns them.  A root whose
-    values differ crosses the walls at the multiples of m strictly between
-    them, at times forming one arithmetic run; the runs are merged on
-    integer keys over the lcm of their spans, so a `Fraction` is built only
-    for a time that is yielded.  Walls in a group come in coordinate order.
+    `m` and `values` are as `segment_values` returns them.  Returns a
+    common denominator c and an iterator over the crossings in time order,
+    each a triple (key, i, k): at time key / c the segment crosses the
+    wall of level k of the root of `values[i]`.  A root whose values
+    differ crosses the walls at the multiples of m strictly between them,
+    at times forming one arithmetic run; the runs are merged on integer
+    keys over the lcm of their spans.  Crossings at one time come in
+    coordinate order.
     """
     spans = [(i, va, vb) for i, (_, va, vb) in enumerate(values) if va != vb]
     common = math.lcm(*(abs(vb - va) for _, va, vb in spans))
@@ -403,7 +424,20 @@ def crossing_groups(
             repeat(i),
             range(-sign * first, -sign * (last + 1), -sign),
         ))
-    for key, group in groupby(heapq.merge(*runs), key=itemgetter(0)):
+    return common, heapq.merge(*runs)
+
+
+def crossing_groups(
+    m: int, values: Sequence[tuple[Root, int, int]]
+) -> Iterator[tuple[Q, tuple[Wall, ...]]]:
+    """The walls the open segment crosses, lazily, grouped by time.
+
+    `m` and `values` are as `segment_values` returns them.  This is
+    `crossing_runs` with each time built as a `Fraction` and each crossing
+    as a `Wall`, in coordinate order within a group.
+    """
+    common, crossings = crossing_runs(m, values)
+    for key, group in groupby(crossings, key=itemgetter(0)):
         yield Q(key, common), tuple(Wall(values[i][0], level) for _, i, level in group)
 
 

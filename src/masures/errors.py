@@ -54,6 +54,12 @@ class IllegalFold(MasureError, ValueError):
     pass
 
 
+class UnorderedSegment(MasureError, ValueError):
+    """Segment endpoints a, b with a <= b failing in the Tits preorder, or
+    undecided.  A Hecke path runs from a to b only when b - a lies in the
+    Tits cone; folding a reversed or incomparable pair never ends."""
+
+
 class NonGenericSegment(MasureError, ValueError):
     """A segment meets two walls at one parameter; resample the endpoint."""
 

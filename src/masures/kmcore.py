@@ -121,6 +121,14 @@ class RootGeneratingSystem:
     simple_coroots: tuple[Vector, ...]
     simple_roots: tuple[Vector, ...]
 
+    def __post_init__(self):
+        # every cached table is keyed on the system: hash its Fractions once
+        fields = (self.matrix, self.dim, self.simple_coroots, self.simple_roots)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def size(self) -> int:
         return self.matrix.size
@@ -503,30 +511,44 @@ class ConeLocation:
         return self.kind in ("zero", "interior", "boundary")
 
 
-def _descend(rgs: RootGeneratingSystem, v: Vector, step_bound: int):
+DESCENT_STEPS = 200
+
+
+def _descend(matrix: KacMoodyMatrix, values: Sequence[int], step_bound: int):
     """Reflect at the least negative simple root until dominant.
 
-    Returns ("dominant", u) | ("cycle", None) | ("exhausted", None).
+    Works on a vector's simple-root values, integers over a common
+    denominator: r_i lowers alpha_k by alpha_i(v) a_ik and moves v by
+    -alpha_i(v) coroot_i, so every step stays in integers.  Returns
+    ("dominant", values, shifts), where the dominant vector is
+    v - sum_i shifts_i coroot_i over the same denominator, or
+    ("cycle", None, None) or ("exhausted", None, None).  Two steps reach
+    the same vector exactly when their shifts agree, the coroots being
+    free, which is how a cycle is seen.
     """
-    u = v
-    seen = {u}
+    a = list(values)
+    shifts = [0] * len(a)
+    seen = {tuple(shifts)}
     for _ in range(step_bound):
-        i = next((i for i in range(rgs.size) if rgs.root_value(i, u) < 0), None)
+        i = next((i for i, x in enumerate(a) if x < 0), None)
         if i is None:
-            return "dominant", u
-        u = reflect_simple(rgs, i, u)
-        if u in seen:
-            return "cycle", None
-        seen.add(u)
-    if all(rgs.root_value(i, u) >= 0 for i in range(rgs.size)):
-        return "dominant", u
-    return "exhausted", None
+            return "dominant", tuple(a), tuple(shifts)
+        c = a[i]
+        a = [x - c * r for x, r in zip(a, matrix.entries[i])]
+        shifts[i] += c
+        key = tuple(shifts)
+        if key in seen:
+            return "cycle", None, None
+        seen.add(key)
+    if all(x >= 0 for x in a):
+        return "dominant", tuple(a), tuple(shifts)
+    return "exhausted", None, None
 
 
 def tits_membership(
     rgs: RootGeneratingSystem,
     v: Vector,
-    step_bound: int = 200,
+    step_bound: int = DESCENT_STEPS,
 ) -> ConeLocation:
     """Locate v relative to the Tits cone (union of Weyl images of the
     closed fundamental chamber) by reflection descent.
@@ -540,11 +562,12 @@ def tits_membership(
         raise DimensionMismatch(f"expected dim {rgs.dim}, got {len(v)}")
     if all(x == 0 for x in v):
         return ConeLocation("zero", 0, frozenset())
+    _, (values,) = linalg.clear_denominators([[linalg.dot(f, v) for f in rgs.simple_roots]])
     proven_out = True
     for side in (1, -1):
-        status, dom = _descend(rgs, linalg.scale(side, v), step_bound)
+        status, dom, _ = _descend(rgs.matrix, [side * x for x in values], step_bound)
         if status == "dominant":
-            J = frozenset(i for i in range(rgs.size) if rgs.root_value(i, dom) == 0)
+            J = frozenset(i for i, x in enumerate(dom) if x == 0)
             kind = "interior" if _finite_type(rgs.matrix, J) else "boundary"
             return ConeLocation(kind, side, J)
         if status != "cycle":
@@ -567,7 +590,7 @@ def tits_preorder(
     rgs: RootGeneratingSystem,
     x: Vector,
     y: Vector,
-    step_bound: int = 200,
+    step_bound: int = DESCENT_STEPS,
 ) -> str:
     """Compare x <= y in the Tits preorder (y - x in the Tits cone)."""
     loc = tits_membership(rgs, linalg.sub(y, x), step_bound)
@@ -583,12 +606,46 @@ def tits_preorder(
 
 
 @functools.lru_cache(maxsize=None)
-def _coroot_solver(rgs: RootGeneratingSystem) -> Matrix:
+def _coroot_solver(
+    rgs: RootGeneratingSystem,
+) -> tuple[int, tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
     """A left inverse of the coroot matrix C (columns the simple coroots),
-    (C^T C)^-1 C^T: it sends a combination of the coroots to its
-    coefficients, unique because the coroots are free."""
+    (C^T C)^-1 C^T, as integer rows over one denominator, and the simple
+    coroots as integer rows over another.  The inverse sends a combination
+    of the coroots to its coefficients, unique because the coroots are
+    free."""
     gram = linalg.matmul(rgs.simple_coroots, tuple(zip(*rgs.simple_coroots)))
-    return linalg.matmul(linalg.invert(gram), rgs.simple_coroots)
+    denom, rows = linalg.clear_denominators(
+        linalg.matmul(linalg.invert(gram), rgs.simple_coroots)
+    )
+    coroot_denom, coroots = linalg.clear_denominators(rgs.simple_coroots)
+    return denom, tuple(rows), coroot_denom, tuple(coroots)
+
+
+def _coroot_numerators(rgs: RootGeneratingSystem, v: Sequence[int]) -> tuple[int, ...] | None:
+    """For an integer vector v, the integers c_j with v = sum_j (c_j / d)
+    coroot_j, d the solver's denominator; None when v is no combination of
+    the simple coroots."""
+    denom, rows, coroot_denom, coroots = _coroot_solver(rgs)
+    c = tuple(sum(r * x for r, x in zip(row, v)) for row in rows)
+    scale = denom * coroot_denom
+    for k, x in enumerate(v):
+        if sum(cj * coroot[k] for cj, coroot in zip(c, coroots)) != scale * x:
+            return None
+    return c
+
+
+def _order(c: Sequence[int] | None) -> str:
+    """The dominance order of x and y read off the coroot numerators c of
+    a nonzero y - x; c is None when y - x is no combination of the
+    coroots."""
+    if c is None:
+        return INCOMPARABLE
+    if all(x >= 0 for x in c):
+        return LE
+    if all(x <= 0 for x in c):
+        return GE
+    return INCOMPARABLE
 
 
 def dominance_compare(rgs: RootGeneratingSystem, x: Vector, y: Vector) -> str:
@@ -598,20 +655,15 @@ def dominance_compare(rgs: RootGeneratingSystem, x: Vector, y: Vector) -> str:
         raise DimensionMismatch("points of wrong dimension")
     if x == y:
         return EQ
-    d = linalg.sub(y, x)
-    sol = linalg.matvec(_coroot_solver(rgs), d)
-    if linalg.vecmat(sol, rgs.simple_coroots) != d:
-        return INCOMPARABLE
-    if all(c >= 0 for c in sol):
-        return LE
-    if all(c <= 0 for c in sol):
-        return GE
-    return INCOMPARABLE
+    _, (d,) = linalg.clear_denominators([linalg.sub(y, x)])
+    return _order(_coroot_numerators(rgs, d))
 
 
 def coroot_coordinates(rgs: RootGeneratingSystem, v: Vector) -> Vector | None:
     """v as a rational combination of simple coroots, or None."""
-    sol = linalg.matvec(_coroot_solver(rgs), v)
-    if linalg.vecmat(sol, rgs.simple_coroots) != v:
+    scale, (ints,) = linalg.clear_denominators([v])
+    c = _coroot_numerators(rgs, ints)
+    if c is None:
         return None
-    return sol
+    denom = _coroot_solver(rgs)[0] * scale
+    return tuple(Q(x, denom) for x in c)

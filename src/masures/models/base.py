@@ -13,10 +13,10 @@ certificate.  The window of special points only cross-checks it: charted
 through the first apartment, each point must lie in the second exactly
 when it lies in the set, and no verdict depends on the window's size.
 Membership in the set compares integers m alpha(v) read off one root
-table per window (`apartment.root_table`, cached per process).  A model
-reads the window into the second apartment with
-`MasureModel.window_coords`, point by point unless it knows a faster
-reading (SL3 reads integer alpha-values).  The set's canonicalization
+table per window (`apartment.root_table`, which each model keeps by
+window radius, `MasureModel.window_table`).  A model reads the window
+into the second apartment with `MasureModel.window_coords`, point by
+point unless it knows a faster reading (SL3 reads integer alpha-values).  The set's canonicalization
 eliminates over the integers (`fourier_motzkin`), and the intertwiner
 search tests each candidate on the hits and their images with
 denominators cleared.  `Fraction` arithmetic is left to each candidate's
@@ -123,6 +123,21 @@ class MasureModel(ABC):
         if germ == plus:
             return 1
         raise UnsupportedGerm("retraction is only available from the germs at +infinity and -infinity")
+
+    @functools.cached_property
+    def _window_tables(self) -> dict[int, RootTable]:
+        return {}
+
+    def window_table(self, window_radius: int) -> RootTable:
+        """The `RootTable` of the window's special points at the model's
+        root height bound, looked up by radius: the points' `Fraction`
+        coordinates are hashed once per model and radius, not per call."""
+        table = self._window_tables.get(window_radius)
+        if table is None:
+            table = self._window_tables[window_radius] = root_table(
+                self.rgs, self.root_height_bound, self.special_points(window_radius)
+            )
+        return table
 
     @abstractmethod
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
@@ -231,15 +246,15 @@ def _sample(
     non-members."""
     if window_radius < 1:
         raise InvalidWindow(f"window radius must be at least 1, not {window_radius}")
-    specials = model.special_points(window_radius)
+    table = model.window_table(window_radius)
     pairs = []
     misses = []
-    for i, y in enumerate(model.window_coords(first, second, window_radius, specials)):
+    for i, y in enumerate(model.window_coords(first, second, window_radius, table.points)):
         if y is None:
             misses.append(i)
         else:
             pairs.append((i, y))
-    return root_table(model.rgs, model.root_height_bound, specials), pairs, misses
+    return table, pairs, misses
 
 
 def _mismatches(

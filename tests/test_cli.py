@@ -6,6 +6,7 @@ checks it against the bundled schema alongside the exit code.
 
 import io
 import json
+import time
 from fractions import Fraction as Q
 from importlib import resources
 
@@ -219,11 +220,26 @@ class TestPath:
         assert code == EXIT_OK
         assert report["verdict"] == "PASS"
 
+    def test_reversed_segment_is_refused_before_folding(self, capsys, tmp_path):
+        """b - a = (2, 2) lies in the negative Tits cone of this hyperbolic
+        matrix, so no Hecke path runs from a to b and folding would never
+        end; the pair is refused at once."""
+        f = write_json(tmp_path, "matrix.json", {"matrix": [[2, -3], [-3, 2]]})
+        start = time.monotonic()
+        code, doc = run(capsys, ["path", "random", "--matrix", f, "--seed", "0",
+                                 "--a=-1,-1", "--b", "1,1", "--height", "2"])
+        assert time.monotonic() - start < 1
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "UnorderedSegment"
+        assert "reversed" in doc["error"]["message"]
+        validate(doc, "error.json")
+
     def test_short_search_is_inconclusive_not_a_pass(self, capsys, tmp_path):
         rgs = default_realization(validate_matrix(AFFINE))
         root = next(r for r in positive_roots(rgs, 3) if r.coords == (2, 1))
-        straight = PLPath((Q(0), Q(1)), ((Q(1), Q(0), Q(0)), (Q(-1), Q(0), Q(0))))
-        folded = fold_tail(rgs, straight, Q(1, 2), root, 0)
+        # the fold point (1/4, 0, 1/4) lies on no wall of a height-1 root
+        straight = PLPath((Q(0), Q(1)), ((Q(5, 4), Q(0), Q(1, 4)), (Q(-3, 4), Q(0), Q(1, 4))))
+        folded = fold_tail(rgs, straight, Q(1, 2), root, -1)
         doc = {
             "matrix": AFFINE,
             "path": serialize.path_to_json(folded),
@@ -427,6 +443,17 @@ class TestVerifyTheorem:
             assert serialize.dumps(run_campaign(dict(config))) == cold
         assert serialize.dumps(run_campaign(dict(config))) == cold
         assert cli._fill_config(config)[1] is cli._fill_config(dict(config))[1]
+
+    def test_a_retraction_folding_at_a_vertex_passes(self):
+        """This pair's segment (-1/4, 0) -> (1/3, 0) retracts from the germ
+        at minus infinity with a turn at the vertex (0, 0) from (-7/12,
+        -7/12) to (7/12, 0): no single reflection, but a chain of two, each
+        in a wall through the vertex and negative on what it reflects."""
+        config = {"model": "sl3", "q": 2, "trials": 1, "seed": 120820124407441,
+                  "complexity": 2, "window_radius": 6}
+        report = run_campaign(config)
+        assert report["trials"][0]["retraction"]["growth"] == "PASS"
+        assert report["summary"]["fail"] == 0
 
     @pytest.mark.parametrize(
         "config, digest",
