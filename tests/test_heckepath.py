@@ -7,6 +7,7 @@ truncation behavior: a witness that needs a height-3 root must turn the
 verdict INCONCLUSIVE, not PASS or FAIL, when the search stops at height 1.
 """
 
+import functools
 import hashlib
 import random
 import time
@@ -376,14 +377,12 @@ PINNED_DIGEST = "1eb4bf32a79fc5a5"
 
 # -- the integer path layer against its Fraction oracles ----------------------------
 
-AFF_A1 = AFF
 HYPERBOLIC = default_realization(validate_matrix([[2, -3], [-3, 2]]))
 # (system, height, Weyl length bound): the saturation height in finite
 # type; the two infinite types have no such height and are checked at 3
 ORACLE_SYSTEMS = (
-    (A1, 1, 1), (A2, 2, 3), (B2, 3, 4), (G2, 5, 6), (AFF_A1, 3, 4), (HYPERBOLIC, 3, 4),
+    (A1, 1, 1), (A2, 2, 3), (B2, 3, 4), (G2, 5, 6), (AFF, 3, 4), (HYPERBOLIC, 3, 4),
 )
-_SOLVERS = {}
 
 
 def fraction_knots(times, points):
@@ -398,15 +397,19 @@ def fraction_knots(times, points):
     return tuple(times[i] for i in keep), tuple(points[i] for i in keep)
 
 
+@functools.cache
+def fraction_solver(rgs):
+    """The left inverse (C^T C)^-1 C^T of the coroot matrix, in Fractions."""
+    gram = linalg.matmul(rgs.simple_coroots, tuple(zip(*rgs.simple_coroots)))
+    return linalg.matmul(linalg.invert(gram), rgs.simple_coroots)
+
+
 def fraction_dominance(rgs, x, y):
     """`dominance_compare` by the `Fraction` left inverse of the coroots."""
     if x == y:
         return EQ
-    if rgs not in _SOLVERS:
-        gram = linalg.matmul(rgs.simple_coroots, tuple(zip(*rgs.simple_coroots)))
-        _SOLVERS[rgs] = linalg.matmul(linalg.invert(gram), rgs.simple_coroots)
     d = linalg.sub(y, x)
-    sol = linalg.matvec(_SOLVERS[rgs], d)
+    sol = linalg.matvec(fraction_solver(rgs), d)
     if linalg.vecmat(sol, rgs.simple_coroots) != d:
         return INCOMPARABLE
     if all(c >= 0 for c in sol):
@@ -563,7 +566,7 @@ class TestIntegerOracles:
 class TestOrbitLaw:
     @pytest.mark.parametrize(
         "rgs,height,length",
-        [(A2, 2, 3), (B2, 3, 4), (G2, 5, 6), (AFF_A1, 3, 4), (HYPERBOLIC, 3, 4)],
+        [(A2, 2, 3), (B2, 3, 4), (G2, 5, 6), (AFF, 3, 4), (HYPERBOLIC, 3, 4)],
         ids=("A2", "B2", "G2", "affine-A1", "hyperbolic"),
     )
     def test_unwitnessed_turns_match_the_ball(self, rgs, height, length):
