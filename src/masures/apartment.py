@@ -38,7 +38,6 @@ from .kmcore import (
     roots_saturated,
     simple_root,
     weyl_identity,
-    weyl_word,
 )
 from .linalg import Vector
 
@@ -554,29 +553,41 @@ class AffineWeylElement:
         return HalfApartment(image, int(level), h.strict)
 
 
-def affine_identity(rgs: RootGeneratingSystem) -> AffineWeylElement:
-    return AffineWeylElement(weyl_identity(rgs), rgs.zero())
-
-
 def translation(rgs: RootGeneratingSystem, tau: Sequence) -> AffineWeylElement:
     return AffineWeylElement(weyl_identity(rgs), _as_point(rgs, tau))
 
 
-def wall_reflection(wall: Wall) -> AffineWeylElement:
-    """The affine reflection fixing the wall pointwise.
-
-    Across M(alpha, k) the map is v - (alpha(v) + k) coroot, i.e. the
-    linear reflection r_alpha followed by translation by -k coroot.
-    """
-    root = wall.root
-    rgs = root.rgs
-    linear = weyl_word(rgs, root.word + (root.base,) + tuple(reversed(root.word)))
-    return AffineWeylElement(linear, linalg.scale(-wall.level, root.coroot))
+@functools.lru_cache(maxsize=None)
+def _chamber_point(rgs: RootGeneratingSystem) -> tuple[int, tuple[int, ...]]:
+    """A point x with every alpha_i(x) = 1, in the open fundamental chamber
+    C, as a denominator and integer numerators.  It is taken in the span of
+    the simple coroots when one is there, as it always is in finite type,
+    where the Cartan matrix is invertible: there -w0 permutes the simple
+    roots and keeps that span, so w0(x) = -x."""
+    ones = [1] * rgs.size
+    # alpha_i(sum_j c_j coroot_j) = sum_j c_j a_ji
+    c = linalg.solve(tuple(zip(*rgs.matrix.entries)), ones)
+    if c is None:
+        x = linalg.solve(rgs.simple_roots, ones)
+    else:
+        x = rgs.zero()
+        for cj, coroot in zip(c, rgs.simple_coroots):
+            x = linalg.add(x, linalg.scale(cj, coroot))
+    denom, (numerators,) = linalg.clear_denominators([x])
+    return denom, numerators
 
 
 @dataclass(frozen=True, eq=False)
 class SectorGerm:
-    """Direction class of a sector: sign * w(closed fundamental chamber)."""
+    """Direction class of a sector: sign * w(closed fundamental chamber).
+
+    One chamber can have two names: in finite type -C = w0(C), so the
+    germs (w, -1) and (w w0, +1) are the same.  Germs compare and hash by
+    the point sign * w(x) of their chamber, x the `_chamber_point`, which
+    lies in no other chamber; the point is kept in lowest terms over
+    integers, computed once per germ, so comparing germs compares
+    integers.
+    """
 
     weyl: WeylElement
     sign: int
@@ -584,20 +595,24 @@ class SectorGerm:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError(f"sector germ sign must be +1 or -1, got {self.sign!r}")
+        rgs = self.weyl.rgs
+        x_denom, x = _chamber_point(rgs)
+        w_denom, w = linalg.clear_denominators(self.weyl.matrix)
+        point = [self.sign * sum(a * b for a, b in zip(row, x)) for row in w]
+        g = math.gcd(x_denom * w_denom, *point)
+        key = (rgs, x_denom * w_denom // g, tuple(c // g for c in point))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     @property
     def rgs(self) -> RootGeneratingSystem:
         return self.weyl.rgs
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SectorGerm)
-            and self.sign == other.sign
-            and self.weyl.matrix == other.weyl.matrix
-        )
+        return isinstance(other, SectorGerm) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.sign, self.weyl.matrix))
+        return self._hash
 
     def __repr__(self) -> str:
         tag = "+" if self.sign == 1 else "-"

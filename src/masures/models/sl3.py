@@ -35,6 +35,15 @@ own rational coweight lam = (a + b, b, 0), scaled to integers by the
 common denominator of a and b.  Frames are exact Laurent polynomials, so
 each of these numbers is exact.
 
+A frame keeps its adjugate and its determinant valuation, which every
+membership and retraction reading uses.  Random frames are products of
+elementary and diagonal factors, built by column operations on the
+identity frame, and their adjugates by the matching row operations
+(adj(F E) = adj(E) adj(F)); their determinant valuation is the sum of the
+diagonal factors' exponents.  Only a frame given as a bare matrix, such
+as the standard apartment's, has its adjugate and determinant computed
+from its entries.
+
 Point equality is a membership reading too.  Every apartment charts the
 model apartment injectively, so two points are equal exactly when one
 lies in the other's apartment at the other's coordinates; a point hashes
@@ -87,6 +96,16 @@ def _matmul(A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
+def _scaled(x: L.Laurent, m: L.Laurent) -> L.Laurent:
+    """x . m, with nothing to do when x is zero."""
+    return x if x.is_exact_zero else L.mul(x, m)
+
+
+def _add_multiple(x: L.Laurent, u: L.Laurent, y: L.Laurent) -> L.Laurent:
+    """x + u . y, with nothing to do when y is zero."""
+    return x if y.is_exact_zero else L.add(x, L.mul(u, y))
+
+
 def _det(A: Matrix) -> L.Laurent:
     def m2(a, b, c, d):
         return L.sub(L.mul(a, d), L.mul(b, c))
@@ -115,7 +134,9 @@ def _adjugate(A: Matrix) -> Matrix:
     return tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
 
 
+@functools.lru_cache(maxsize=None)
 def _identity(field: GF) -> Matrix:
+    """The identity frame, built once per field."""
     return tuple(
         tuple(L.one(field) if i == j else L.zero(field) for j in range(3)) for i in range(3)
     )
@@ -270,23 +291,31 @@ class SL3Point:
 class SL3Apartment:
     """Frame matrix with exact polynomial entries, val(det) in 3Z; keeps
     its adjugate and the valuations of its entries, adjugate entries and
-    determinant."""
+    determinant.
+
+    A builder that tracks the adjugate and the determinant valuation along
+    the frame, as `SL3Model.random_apartment` does, passes both; a frame
+    given alone is checked for exact entries and invertibility, and both
+    are read off it with `_adjugate` and `_det`."""
 
     __slots__ = ("matrix", "_adj", "_vals", "_adj_vals", "_det_val")
 
-    def __init__(self, matrix: Matrix):
+    def __init__(self, matrix: Matrix, adjugate: Matrix | None = None, det_val: int | None = None):
         self.matrix = matrix
-        if any(not e.exact for row in matrix for e in row):
-            raise MasureError("frame entries must be exact polynomials")
-        det = _det(matrix)
-        if det.is_exact_zero:
-            raise MasureError("frame is singular")
-        self._det_val = det.val()
-        if self._det_val % 3 != 0:
+        if adjugate is None:
+            if any(not e.exact for row in matrix for e in row):
+                raise MasureError("frame entries must be exact polynomials")
+            det = _det(matrix)
+            if det.is_exact_zero:
+                raise MasureError("frame is singular")
+            det_val = det.val()
+            adjugate = _adjugate(matrix)
+        if det_val % 3 != 0:
             raise MasureError("frame determinant valuation must be divisible by 3")
-        self._adj = _adjugate(matrix)
+        self._det_val = det_val
+        self._adj = adjugate
         self._vals = _valuations(matrix)
-        self._adj_vals = _valuations(self._adj)
+        self._adj_vals = _valuations(adjugate)
 
     def __repr__(self) -> str:
         return "SL3Apartment(...)"
@@ -513,27 +542,44 @@ class SL3Model(MasureModel):
         return all(sum(1 for row in vals if row[j] != math.inf) == 1 for j in range(3))
 
     def random_apartment(self, seed: int, complexity: int) -> SL3Apartment:
+        """The product of `complexity` random factors, each an elementary
+        x_ij(u) (two times in three), u a Laurent polynomial with
+        valuation and complexity + 1 coefficients drawn, or a diagonal
+        diag(c_r t^d_r) with units c_r and sum d divisible by 3.
+
+        The frame is built by column operations: right-multiplying by
+        x_ij(u) adds u . (column i) to column j, and by a diagonal factor
+        scales column r by c_r t^d_r.  Its adjugate follows by the matching
+        row operations, since adj(F E) = adj(E) adj(F): adj(x_ij(u)) is
+        x_ij(-u), which takes u . (row j) from row i, and the adjugate of
+        diag(m_0, m_1, m_2) scales row r by m_(r+1) m_(r+2).  The
+        determinant valuation is the sum of the diagonal factors' d."""
         rng = random.Random(seed)
-        frame = _identity(self.field)
+        field = self.field
+        frame = [list(row) for row in _identity(field)]
+        adj = [list(row) for row in _identity(field)]
+        det_val = 0
         for _ in range(complexity):
             if rng.randrange(3) < 2:
                 i, j = rng.sample(range(3), 2)
                 val = rng.randrange(-complexity, complexity + 1)
-                coeffs = [rng.randrange(self.field.q) for _ in range(complexity + 1)]
-                u = L.from_coeffs(self.field, val, coeffs)
-                factor = [[L.one(self.field) if r == c else L.zero(self.field) for c in range(3)] for r in range(3)]
-                factor[i][j] = u
-                frame = _matmul(frame, tuple(tuple(row) for row in factor))
+                coeffs = [rng.randrange(field.q) for _ in range(complexity + 1)]
+                u = L.from_coeffs(field, val, coeffs)
+                if u.is_exact_zero:
+                    continue
+                for row in frame:
+                    row[j] = _add_multiple(row[j], u, row[i])
+                minus_u = L.neg(u)
+                adj[i] = [_add_multiple(a, minus_u, b) for a, b in zip(adj[i], adj[j])]
             else:
                 d = [rng.randrange(-complexity, complexity + 1) for _ in range(3)]
                 d[2] -= (d[0] + d[1] + d[2]) % 3
-                units = [rng.randrange(1, self.field.q) for _ in range(3)]
-                factor = tuple(
-                    tuple(
-                        L.monomial(self.field, d[r], units[r]) if r == c else L.zero(self.field)
-                        for c in range(3)
-                    )
-                    for r in range(3)
-                )
-                frame = _matmul(frame, factor)
-        return SL3Apartment(frame)
+                units = [rng.randrange(1, field.q) for _ in range(3)]
+                m = [L.monomial(field, e, c) for e, c in zip(d, units)]
+                for row in frame:
+                    row[:] = [_scaled(e, m_r) for e, m_r in zip(row, m)]
+                for r in range(3):
+                    cofactor = L.mul(m[(r + 1) % 3], m[(r + 2) % 3])
+                    adj[r] = [_scaled(e, cofactor) for e in adj[r]]
+                det_val += sum(d)
+        return SL3Apartment(tuple(map(tuple, frame)), tuple(map(tuple, adj)), det_val)

@@ -24,7 +24,6 @@ from .kmcore import (
     enumerate_real_roots,
     realization,
     validate_matrix,
-    weyl_word,
 )
 
 
@@ -45,16 +44,6 @@ def vector_to_json(v: Sequence) -> list:
 
 def vector_from_json(obj) -> tuple[Q, ...]:
     return tuple(rational_from_json(c) for c in obj)
-
-
-def rgs_to_json(rgs: RootGeneratingSystem) -> dict:
-    out = {"matrix": rgs.matrix.rows()}
-    if rgs != default_realization(rgs.matrix):
-        out["realization"] = {
-            "coroots": [vector_to_json(c) for c in rgs.simple_coroots],
-            "forms": [vector_to_json(f) for f in rgs.simple_roots],
-        }
-    return out
 
 
 def rgs_from_json(obj) -> RootGeneratingSystem:
@@ -108,12 +97,6 @@ def affine_weyl_to_json(g: AffineWeylElement) -> dict:
         "word": list(g.linear.word),
         "translation": vector_to_json(g.translation),
     }
-
-
-def affine_weyl_from_json(rgs: RootGeneratingSystem, obj) -> AffineWeylElement:
-    return AffineWeylElement(
-        weyl_word(rgs, tuple(obj["word"])), vector_from_json(obj["translation"])
-    )
 
 
 def path_to_json(path: PLPath) -> dict:

@@ -23,7 +23,6 @@ from masures.apartment import (
     Sector,
     SectorGerm,
     Wall,
-    affine_identity,
     affine_reflect,
     crossing_groups,
     empty_set,
@@ -34,7 +33,6 @@ from masures.apartment import (
     root_table,
     segment_values,
     translation,
-    wall_reflection,
     walls_crossed,
     whole_apartment,
 )
@@ -57,6 +55,19 @@ A1 = default_realization(validate_matrix([[2]]))
 A2 = default_realization(validate_matrix([[2, -1], [-1, 2]]))
 
 ALPHA = simple_root(A1, 0)
+
+
+def affine_identity(rgs):
+    return AffineWeylElement(weyl_identity(rgs), rgs.zero())
+
+
+def wall_reflection(wall):
+    """The affine reflection fixing the wall pointwise: across M(alpha, k)
+    the map is v - (alpha(v) + k) coroot, the linear reflection r_alpha
+    followed by translation by -k coroot."""
+    root = wall.root
+    linear = weyl_word(root.rgs, root.word + (root.base,) + tuple(reversed(root.word)))
+    return AffineWeylElement(linear, tuple(-wall.level * c for c in root.coroot))
 
 
 def a2_points(n):
@@ -609,6 +620,45 @@ class TestSectorGerms:
     def test_plus_minus_distinct(self):
         assert plus_infinity(A2) != minus_infinity(A2)
         assert plus_infinity(A2) == SectorGerm(weyl_word(A2, (0, 0)), 1)
+
+    @pytest.mark.parametrize(
+        "rgs",
+        [
+            A1,
+            A2,
+            default_realization(validate_matrix([[2, -2], [-1, 2]])),
+            default_realization(validate_matrix([[2, -3], [-1, 2]])),
+            # a realization of dimension above the rank
+            realization(validate_matrix([[2]]), [(1, 1)], [(1, 1)]),
+        ],
+        ids=["A1", "A2", "B2", "G2", "A1-dim2"],
+    )
+    def test_one_chamber_has_two_names_in_finite_type(self, rgs):
+        """-C = w0(C), so the germs (w, -1) and (w w0, +1) are one germ:
+        they compare and hash equal, and the group's 2 |W| names cover
+        exactly |W| germs."""
+        group = weyl_ball(rgs, 6)
+        w0 = group[-1]
+        assert len(group) == 2 * len(w0.word)  # the whole dihedral group
+        for w in group:
+            minus, plus = SectorGerm(w, -1), SectorGerm(w.compose(w0), 1)
+            assert minus == plus and hash(minus) == hash(plus)
+        assert len({SectorGerm(w, sign) for w in group for sign in (1, -1)}) == len(group)
+
+    def test_opposite_signs_never_meet_outside_finite_type(self):
+        """In affine A1 the Tits cone and its negative have disjoint
+        interiors, so a + germ never equals a - germ."""
+        ball = weyl_ball(AFF, 5)
+        plus = [SectorGerm(w, 1) for w in ball]
+        minus = [SectorGerm(w, -1) for w in ball]
+        assert not any(p == m for p in plus for m in minus)
+        assert len(set(plus)) == len(set(minus)) == len(ball)
+        assert not set(plus) & set(minus)
+
+    def test_repr_keeps_the_name_given(self):
+        assert repr(SectorGerm(weyl_word(A2, (0, 1, 0)), 1)) == "SectorGerm(+infinity, word=(0, 1, 0))"
+        assert repr(minus_infinity(A2)) == "SectorGerm(-infinity, word=())"
+        assert repr(SectorGerm(weyl_word(A2, (1,)), -1)) == "SectorGerm(-infinity, word=(1,))"
 
     def test_direction_contains(self):
         plus = plus_infinity(A2)

@@ -451,6 +451,55 @@ class TestCharts:
         )
 
 
+def reference_frame(model, seed, complexity):
+    """The frame `random_apartment` draws, built as the product of its
+    factors with `_matmul`, with its adjugate and determinant read off the
+    product by `_adjugate` and `_det`."""
+    rng = random.Random(seed)
+    field = model.field
+    frame = _identity(field)
+    for _ in range(complexity):
+        if rng.randrange(3) < 2:
+            i, j = rng.sample(range(3), 2)
+            val = rng.randrange(-complexity, complexity + 1)
+            u = L.from_coeffs(field, val, [rng.randrange(field.q) for _ in range(complexity + 1)])
+            frame = _matmul(frame, elementary(field, i, j, u))
+        else:
+            d = [rng.randrange(-complexity, complexity + 1) for _ in range(3)]
+            d[2] -= (d[0] + d[1] + d[2]) % 3
+            units = [rng.randrange(1, field.q) for _ in range(3)]
+            factor = matrix(
+                [L.monomial(field, d[r], units[r]) if r == c else L.zero(field) for c in range(3)]
+                for r in range(3)
+            )
+            frame = _matmul(frame, factor)
+    return frame, _adjugate(frame), _det(frame).val()
+
+
+def _entries(A):
+    return tuple((e.val_, e.coeffs, e.known_to) for row in A for e in row)
+
+
+class TestTrackedFrame:
+    def test_random_frames_match_the_matrix_product(self):
+        """The frame, adjugate and determinant valuation `random_apartment`
+        tracks by column and row operations are those of the product of
+        its factors, and so are the valuations it keeps: 2000 seeds,
+        complexity 0-6, over GF(2) and GF(3) and, half as often, over the
+        slower GF(4) and GF(9)."""
+        models = [SL3Model(q=q) for q in (2, 3, 4, 2, 3, 9)]
+        for seed in range(2000):
+            model = models[seed % 6]
+            complexity = seed % 7
+            ap = model.random_apartment(seed, complexity)
+            frame, adj, det_val = reference_frame(model, seed, complexity)
+            assert _entries(ap.matrix) == _entries(frame)
+            assert _entries(ap._adj) == _entries(adj)
+            assert ap._det_val == det_val
+            assert ap._vals == tuple(tuple(e.val() for e in row) for row in frame)
+            assert ap._adj_vals == tuple(tuple(e.val() for e in row) for row in adj)
+
+
 def _unipotent_rows(k):
     g = [list(row) for row in _identity(F)]
     g[0][1] = L.monomial(F, k)
@@ -476,6 +525,24 @@ class TestRetractions:
         assert retract(MODEL, p, minus_infinity(RGS)) != retract(
             MODEL, p, plus_infinity(RGS)
         )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_longest_element_names_the_opposite_infinity(self, sign):
+        """w0 = r_0 r_1 r_0, so (w0, sign) names the germ at -sign infinity:
+        it compares and hashes equal to that germ and retracts the same."""
+        germ = SectorGerm(weyl_word(RGS, (0, 1, 0)), sign)
+        infinite = plus_infinity(RGS) if sign < 0 else minus_infinity(RGS)
+        assert germ == infinite and hash(germ) == hash(infinite)
+        assert germ != (minus_infinity(RGS) if sign < 0 else plus_infinity(RGS))
+        rng = random.Random(37)
+        for _ in range(10):
+            ap = MODEL.random_apartment(rng.getrandbits(48), 3)
+            x = (Q(rng.randrange(-9, 10), rng.randrange(1, 4)), Q(rng.randrange(-9, 10), rng.randrange(1, 4)))
+            p = MODEL.chart(ap, x)
+            assert MODEL.point_retract(p, germ) == MODEL.point_retract(p, infinite)
+            assert retract(MODEL, p, germ) == retract(MODEL, p, infinite)
+        a, b = (Q(0), Q(0)), (Q(1), Q(1, 2))
+        assert retract_segment(MODEL, STD, a, b, germ, 2) == retract_segment(MODEL, STD, a, b, infinite, 2)
 
     def test_only_the_two_infinite_germs_retract(self):
         p = MODEL.chart(STD, (Q(0), Q(0)))

@@ -24,7 +24,7 @@ from masures.apartment import (
 )
 from masures.errors import DegenerateSegment, InvalidWindow, MasureError, UnsupportedGerm
 from masures.heckepath import FAIL, PASS
-from masures.kmcore import simple_root, weyl_word
+from masures.kmcore import default_realization, simple_root, validate_matrix, weyl_word
 from masures.models import (
     TreeApartment,
     TreeEnd,
@@ -37,6 +37,7 @@ from masures.models import (
 )
 
 MODEL = TreeModel(q=2)
+A2 = default_realization(validate_matrix([[2, -1], [-1, 2]]))
 RGS = MODEL.rgs
 ALPHA = simple_root(RGS, 0)
 STD = MODEL.standard_apartment()
@@ -273,6 +274,21 @@ class TestRetractions:
 
         assert verify_growth(RGS, path, 1, 1).verdict == PASS
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_reflected_germ_is_the_opposite_infinity(self, sign):
+        """w0 = r_0 here, so (r_0, sign) names the germ at -sign infinity:
+        it compares and hashes equal to that germ and retracts the same."""
+        germ = SectorGerm(weyl_word(RGS, (0,)), sign)
+        infinite = plus_infinity(RGS) if sign < 0 else minus_infinity(RGS)
+        assert germ == infinite and hash(germ) == hash(infinite)
+        assert germ != (minus_infinity(RGS) if sign < 0 else plus_infinity(RGS))
+        rng = random.Random(31)
+        for _ in range(20):
+            apartment = MODEL.random_apartment(rng.getrandbits(48), 4)
+            point = MODEL.chart(apartment, (Q(rng.randrange(-12, 13), rng.randrange(1, 5)),))
+            assert MODEL.point_retract(point, germ) == MODEL.point_retract(point, infinite)
+            assert retract(MODEL, point, germ) == retract(MODEL, point, infinite)
+
     def test_degenerate_segment_rejected(self):
         with pytest.raises(DegenerateSegment):
             retract_segment(MODEL, STD, (Q(1),), (Q(1),), minus_infinity(RGS), 1)
@@ -281,8 +297,9 @@ class TestRetractions:
     def test_other_germs_are_refused(self, sign):
         """A germ other than +-infinity, passed to the model directly or
         through `retract` and `retract_segment`, raises instead of being
-        read as one of them."""
-        germ = SectorGerm(weyl_word(RGS, (0,)), sign)
+        read as one of them.  Every germ of the tree's own system is one
+        of the two, so the germ here is one of A2's."""
+        germ = SectorGerm(weyl_word(A2, (0,)), sign)
         point = MODEL.chart(MODEL.random_apartment(5, 3), (Q(1, 3),))
         with pytest.raises(UnsupportedGerm):
             MODEL.point_retract(point, germ)

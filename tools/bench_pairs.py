@@ -8,10 +8,13 @@ PARENT_DIR and CHANGE_DIR are checkouts of the two commits.  For each
 workload, pair i runs `python3 perfbench/run.py --workload W --seed S
 --seconds N --trace 0` once in each checkout with seed S = first seed + i,
 one run at a time; the parent runs first in even pairs and the change in
-odd ones.  The output holds every run's metrics and, per workload and
-metric, each side's median and quartiles, the pairs the change won (ties
-count for neither side) and whether the median gain exceeds the distance
-between the parent's quartiles.  Which way is better for a metric comes
+odd ones.  The output holds every run's metrics and wall time (`wall_s`,
+the whole process: set-up, input drawing, trials and checks) and, per
+workload and metric, each side's median and quartiles, the pairs the
+change won (ties count for neither side) and whether the median gain
+exceeds the distance between the parent's quartiles; `wall_s` per
+workload gives each side's median run wall time, which shows whether a
+change lengthens the benchmark.  Which way is better for a metric comes
 from `BENCHMARK.json` in the change checkout.
 """
 
@@ -24,15 +27,19 @@ import platform
 import statistics
 import subprocess
 import sys
+from time import perf_counter
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in `checkout`: its last output line."""
+    """One untraced benchmark run in `checkout`: its last output line and
+    the run's wall time."""
+    start = perf_counter()
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
+    wall_s = perf_counter() - start
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{workload} seed {seed} in {checkout} printed nothing: {done.stderr}")
@@ -43,6 +50,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "wall_s": wall_s,
     }
 
 
@@ -110,12 +118,14 @@ def main(argv=None) -> int:
                 pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
                 metrics = pair[side]["metrics"]
                 print(f"{workload} seed {seed} {side}: "
-                      + ", ".join(f"{k} {v:.4g}" for k, v in metrics.items()), file=sys.stderr)
+                      + ", ".join(f"{k} {v:.4g}" for k, v in metrics.items())
+                      + f", wall_s {pair[side]['wall_s']:.1f}", file=sys.stderr)
             pairs.append(pair)
         report["workloads"][workload] = {
             "pairs": pairs,
             "all_correct": all(p[s]["correct"] and not p[s]["failed"] for p in pairs for s in checkouts),
             "summary": summarize(pairs, better),
+            "wall_s": {side: statistics.median(p[side]["wall_s"] for p in pairs) for side in checkouts},
         }
     with open(args.output, "w") as f:
         json.dump(report, f, indent=1)
