@@ -300,7 +300,9 @@ class SL3Apartment:
 
     __slots__ = ("matrix", "_adj", "_vals", "_adj_vals", "_det_val")
 
-    def __init__(self, matrix: Matrix, adjugate: Matrix | None = None, det_val: int | None = None):
+    def __init__(
+        self, matrix: Matrix, adjugate: Matrix | None = None, det_val: int | None = None
+    ):
         self.matrix = matrix
         if adjugate is None:
             if any(not e.exact for row in matrix for e in row):
