@@ -5,6 +5,10 @@ coordinates to building points, retractions onto the standard apartment
 from the germs at plus and minus infinity, and the exact intersection of
 two apartments.  Everything here is generic over that interface:
 retracting a segment into a piecewise-linear path, and `check_MA2`.
+The path comes from `MasureModel.retract_path`: by default the segment is
+charted and retracted at every wall-crossing time and every midpoint
+between them; the tree overrides it in closed form, with one turn at
+most, where the segment comes nearest the germ's end.
 
 The paper proves that two apartments meet in an enclosed set, a finite
 intersection of half-apartments, and each model computes that set in
@@ -153,6 +157,36 @@ class MasureModel(ABC):
         point; the result must be this loop's."""
         return [self.apartment_coords(second, self.chart(first, v)) for v in points]
 
+    def retract_path(
+        self, apartment, a: Vector, b: Vector, germ: SectorGerm, height_bound: int
+    ) -> PLPath:
+        """Retraction of the geodesic from chart(a) to chart(b) from the
+        germ, for distinct `Fraction` endpoints of the right dimension and
+        a germ at +infinity or -infinity, as `retract_segment` checks them.
+
+        The retracted image is piecewise affine with breakpoints only at
+        times where the segment crosses a wall, so those crossing times
+        are the candidate knots; affineness between consecutive knots is
+        then checked at midpoints rather than assumed.  A model that knows
+        where its path turns may compute it in closed form; the result
+        must be this loop's.
+        """
+        times = [Q(0)] + [t for t, _ in walls_crossed(self.rgs, a, b, height_bound)] + [Q(1)]
+        step = linalg.sub(b, a)
+
+        def image(t: Q) -> Vector:
+            x = linalg.add(a, linalg.scale(t, step))
+            return self.point_retract(self.chart(apartment, x), germ)
+
+        values = [image(t) for t in times]
+        for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:]):
+            mid = image((t0 + t1) / 2)
+            if mid != linalg.scale(Q(1, 2), linalg.add(v0, v1)):
+                raise MasureError(
+                    f"retraction is not affine on ({t0}, {t1}); missing wall crossing"
+                )
+        return PLPath(tuple(times), tuple(values))
+
     @abstractmethod
     def same_apartment(self, first, second) -> bool:
         """Equal as point sets (the charts may still differ)."""
@@ -190,10 +224,10 @@ def retract_segment(
 ) -> PLPath:
     """Retraction of the geodesic from chart(a) to chart(b), as a path.
 
-    The retracted image is piecewise affine with breakpoints only at times
-    where the segment crosses a wall, so those crossing times are the
-    candidate knots; affineness between consecutive knots is then checked
-    at midpoints rather than assumed.
+    Validates the germ and the endpoints, then asks the model for the path
+    (`MasureModel.retract_path`): the generic wall-crossing loop, or the
+    tree's closed form, whose one turn lies where the segment comes
+    nearest the germ's end.
     """
     germ = _validate_germ(model, germ)
     rgs = model.rgs
@@ -203,22 +237,7 @@ def retract_segment(
         raise DimensionMismatch("segment endpoints of wrong dimension")
     if a == b:
         raise DegenerateSegment("retracting a constant segment")
-
-    times = [Q(0)] + [t for t, _ in walls_crossed(rgs, a, b, height_bound)] + [Q(1)]
-    step = linalg.sub(b, a)
-
-    def image(t: Q) -> Vector:
-        x = linalg.add(a, linalg.scale(t, step))
-        return model.point_retract(model.chart(apartment, x), germ)
-
-    values = [image(t) for t in times]
-    for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:]):
-        mid = image((t0 + t1) / 2)
-        if mid != linalg.scale(Q(1, 2), linalg.add(v0, v1)):
-            raise MasureError(
-                f"retraction is not affine on ({t0}, {t1}); missing wall crossing"
-            )
-    return PLPath(tuple(times), tuple(values))
+    return model.retract_path(apartment, a, b, germ, height_bound)
 
 
 def intersect_with_standard(

@@ -12,6 +12,12 @@ coroot lattice is the even integers, matching the fact that a vertex
 coordinate always has the parity of its depth in the tree (each chart
 below preserves this, which is what puts chart transitions in the affine
 Weyl group).
+
+The retraction from the germ at plus or minus infinity keeps the
+Busemann function of that germ's end: along a line it falls or rises at
+slope 1 and turns at most once, at the vertex where the ray to the end
+leaves the line (`TreeApartment.projection`), so `TreeModel.retract_path`
+reads a segment's one turn off the end words.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from ..apartment import (
     whole_apartment,
 )
 from ..errors import DimensionMismatch, MasureError
+from ..heckepath import PLPath
 from ..kmcore import RootGeneratingSystem, realization, simple_root, validate_matrix
 from ..linalg import Vector
 from .base import MasureModel
@@ -98,6 +105,24 @@ class TreeApartment:
         if n >= m:
             return self.plus.ray_vertex(n)
         return self.minus.ray_vertex(2 * m - n)
+
+    def projection(self, end: TreeEnd) -> int | None:
+        """Coordinate of the vertex where the ray to `end` leaves the line,
+        None when `end` is one of the line's ends.  An end that follows
+        the plus ray past the divergence vertex leaves it at depth k+ =
+        its shared length with the plus end, coordinate k+; one that
+        follows the minus ray leaves at depth k-, coordinate 2 depth - k-;
+        any other end reaches the line at the divergence vertex."""
+        reach_plus = _shared_length(end, self.plus)
+        reach_minus = _shared_length(end, self.minus)
+        if math.inf in (reach_plus, reach_minus):
+            return None
+        m = self.depth
+        if reach_plus > m:
+            return reach_plus
+        if reach_minus > m:
+            return 2 * m - reach_minus
+        return m
 
     def vertex_coord(self, word: Word) -> int | None:
         m = self.depth
@@ -214,6 +239,36 @@ class TreeModel(MasureModel):
             return (Q(v0),)
         v1 = vertex_image(point.anchor + (point.letter,))
         return (v0 + point.s * (v1 - v0),)
+
+    def retract_path(
+        self, apartment: TreeApartment, a: Vector, b: Vector, germ: SectorGerm, height_bound: int
+    ) -> PLPath:
+        """The retraction from an end keeps that end's Busemann function,
+        which along a line falls or rises at slope 1 and turns at most
+        once, at the end's projection onto the line
+        (`TreeApartment.projection`).  So the knots are the endpoints and,
+        when it lies strictly inside the segment, the projection; each
+        knot's value is `point_retract` of the charted knot.  Each piece
+        must then be carried isometrically, |value change| = |coordinate
+        change|: a retraction does not increase distances, so a piece whose
+        image is as long as the piece is carried affinely, and a turn
+        inside it would have made the image shorter.  A piece that is not
+        carried isometrically raises MasureError naming it."""
+        end = self._standard.minus if self._germ_sign(germ) < 0 else self._standard.plus
+        (x0,), (x1,) = a, b
+        coords = [x0, x1]
+        turn = apartment.projection(end)
+        if turn is not None and min(x0, x1) < turn < max(x0, x1):
+            coords.insert(1, Q(turn))
+        times = [(x - x0) / (x1 - x0) for x in coords]
+        values = [self.point_retract(self.chart(apartment, (x,)), germ) for x in coords]
+        for i in range(len(coords) - 1):
+            if abs(values[i + 1][0] - values[i][0]) != abs(coords[i + 1] - coords[i]):
+                raise MasureError(
+                    f"retraction is not an isometry on ({times[i]}, {times[i + 1]}); "
+                    "missed turn"
+                )
+        return PLPath(times, values)
 
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
         return tuple((Q(k),) for k in range(-window_radius, window_radius + 1))

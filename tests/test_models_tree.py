@@ -23,7 +23,7 @@ from masures.apartment import (
     whole_apartment,
 )
 from masures.errors import DegenerateSegment, InvalidWindow, MasureError, UnsupportedGerm
-from masures.heckepath import FAIL, PASS
+from masures.heckepath import FAIL, PASS, PLPath
 from masures.kmcore import default_realization, simple_root, validate_matrix, weyl_word
 from masures.models import (
     TreeApartment,
@@ -35,6 +35,7 @@ from masures.models import (
     retract,
     retract_segment,
 )
+from masures.models.base import MasureModel
 
 MODEL = TreeModel(q=2)
 A2 = default_realization(validate_matrix([[2, -1], [-1, 2]]))
@@ -337,6 +338,96 @@ class TestRetractions:
                 left += 1
                 assert minus != plus
         assert coincided > 10 and left > 10
+
+
+class TestClosedFormRetraction:
+    """`TreeModel.retract_path` reads the turn off the end words; the
+    generic wall-crossing and midpoint loop, `MasureModel.retract_path`,
+    is its reference."""
+
+    def test_projection_is_the_vertex_nearest_the_end(self):
+        """Among a line's vertices the end's projection is the one nearest
+        a deep anchor on the end's ray, by graph distance."""
+        rng = random.Random(41)
+        for _ in range(200):
+            ap = MODEL.random_apartment(rng.getrandbits(32), rng.randrange(9))
+            for end in (STD.minus, STD.plus):
+                turn = ap.projection(end)
+                if end in (ap.minus, ap.plus):
+                    assert turn is None
+                    continue
+                anchor = end.ray_vertex(ANCHOR_DEPTH)
+                distance = {n: word_distance(ap.vertex_at(n), anchor) for n in range(-40, 41)}
+                nearest = min(distance.values())
+                assert [n for n, d in distance.items() if d == nearest] == [turn]
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_closed_form_equals_the_base_loop(self, q):
+        """1000 segments per germ, denominators 1-4, on apartments of
+        complexity 0-8, in five equal shares: random segments, segments of
+        the standard apartment, segments of lines sharing one end with it,
+        segments starting or ending at the germ's turn vertex, and
+        segments across it."""
+        model = TreeModel(q)
+        rng = random.Random(100 + q)
+
+        def coordinate():
+            return Q(rng.randrange(-10, 11), rng.randrange(1, 5))
+
+        for germ, end in ((minus_infinity(RGS), STD.minus), (plus_infinity(RGS), STD.plus)):
+            done = turned = at_turn = 0
+            while done < 1000:
+                kind = done % 5
+                ap = model.random_apartment(rng.getrandbits(32), rng.randrange(9))
+                if kind == 1:
+                    ap = STD
+                elif kind == 2:
+                    shared = rng.choice((STD.minus, STD.plus))
+                    other = ap.plus if ap.plus != shared else ap.minus
+                    ap = TreeApartment(*rng.sample((shared, other), 2))
+                a, b = coordinate(), coordinate()
+                turn = ap.projection(end)
+                if kind == 3 and turn is not None:
+                    a, b = rng.sample((Q(turn), a), 2)
+                elif kind == 4 and turn is not None:
+                    a, b = rng.sample((turn - abs(a) - Q(1, 4), turn + abs(b)), 2)
+                if a == b:
+                    continue
+                path = model.retract_path(ap, (a,), (b,), germ, 1)
+                assert path == MasureModel.retract_path(model, ap, (a,), (b,), germ, 1)
+                turned += len(path.times) == 3
+                at_turn += turn in (a, b)
+                done += 1
+            assert turned > 150 and at_turn > 150
+
+    def test_planted_misplaced_turn_is_refused(self):
+        """A model whose retraction of one line turns one vertex past the
+        germ's projection: the base loop accepts it, since its break
+        still sits on an integer wall, but the closed form finds the piece
+        it folds carried shorter than itself and names it."""
+        line = TreeApartment(TreeEnd((2,), 1), STD.plus)
+
+        class Turned(TreeModel):
+            def point_retract(self, point, germ):
+                y = self.apartment_coords(line, point)
+                if y is not None:
+                    point = self.chart(line, (y[0] - 1,))
+                return super().point_retract(point, germ)
+
+        model = Turned(q=2)
+        germ = minus_infinity(RGS)
+        assert line.projection(STD.minus) == 0
+        a, b = (Q(3),), (Q(-3),)
+        loop = MasureModel.retract_path(model, line, a, b, germ, 1)
+        assert loop.times == (Q(0), Q(1, 3), Q(1))
+        assert loop.points == ((Q(2),), (Q(0),), (Q(4),))
+        with pytest.raises(MasureError, match=r"isometry on \(0, 1/2\)"):
+            retract_segment(model, line, a, b, germ, 1)
+        with pytest.raises(MasureError, match=r"isometry on \(0, 1\)"):
+            retract_segment(model, line, (Q(1, 2),), a, germ, 1)
+        assert retract_segment(TreeModel(q=2), line, a, b, germ, 1) == PLPath(
+            (Q(0), Q(1, 2), Q(1)), ((Q(3),), (Q(0),), (Q(3),))
+        )
 
 
 # -- apartment intersections ---------------------------------------------------------

@@ -8,6 +8,8 @@ every question past the knowledge horizon must raise rather than guess.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
 from masures.errors import MasureError, PrecisionExhausted
 from masures.models import laurent as L
@@ -52,6 +54,48 @@ class TestGF:
     def test_inv_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             GF(3).inv(0)
+
+
+class TestGFAgainstSympy:
+    """GF(p^k) against `sympy.polys.galoistools`, which works on
+    coefficient lists over Z/p, highest degree first.  An element n of
+    GF(p^k) is the polynomial whose coefficients are n's base-p digits,
+    lowest first, reduced modulo the field's own `modulus` (the prime
+    fields reduce modulo x, which leaves the constants alone).
+    `sympy.GF(4)` is Z/4, not a field, so it is no oracle here."""
+
+    @staticmethod
+    def poly(f, n):
+        digits = []
+        while n:
+            digits.append(n % f.p)
+            n //= f.p
+        return [ZZ(c) for c in reversed(digits)]
+
+    @pytest.mark.parametrize("q, p, k", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (8, 2, 3), (9, 3, 2)])
+    def test_ops_exhaustively(self, q, p, k):
+        f = GF(q)
+        assert (f.p, f.k) == (p, k)
+        if k == 1:
+            modulus = [ZZ(1), ZZ(0)]
+        else:
+            modulus = [ZZ(c) for c in reversed(f.modulus)]
+            assert len(modulus) == k + 1 and modulus[0] == 1
+        assert gf_irreducible_p(modulus, p, ZZ)
+        polys = [self.poly(f, n) for n in f.elements()]
+
+        def of(n):
+            assert 0 <= n < q
+            return polys[n]
+
+        for a, pa in enumerate(polys):
+            assert gf_add(pa, of(f.neg(a)), p, ZZ) == []
+            if a:
+                assert gf_rem(gf_mul(pa, of(f.inv(a)), p, ZZ), modulus, p, ZZ) == [1]
+            for b, pb in enumerate(polys):
+                assert of(f.add(a, b)) == gf_add(pa, pb, p, ZZ)
+                assert gf_add(of(f.sub(a, b)), pb, p, ZZ) == pa
+                assert of(f.mul(a, b)) == gf_rem(gf_mul(pa, pb, p, ZZ), modulus, p, ZZ)
 
 
 F = GF(2)

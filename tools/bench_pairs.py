@@ -14,8 +14,9 @@ workload and metric, each side's median and quartiles, the pairs the
 change won (ties count for neither side) and whether the median gain
 exceeds the distance between the parent's quartiles; `wall_s` per
 workload gives each side's median run wall time, which shows whether a
-change lengthens the benchmark.  Which way is better for a metric comes
-from `BENCHMARK.json` in the change checkout.
+change lengthens the benchmark, and the top-level `wall_s`, also
+printed, sums those medians over the workloads run.  Which way is
+better for a metric comes from `BENCHMARK.json` in the change checkout.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ def main(argv=None) -> int:
             "summary": summarize(pairs, better),
             "wall_s": {side: statistics.median(p[side]["wall_s"] for p in pairs) for side in checkouts},
         }
+    report["wall_s"] = {
+        side: sum(w["wall_s"][side] for w in report["workloads"].values()) for side in checkouts
+    }
+    print("summed median wall_s: "
+          + ", ".join(f"{side} {value:.1f}" for side, value in report["wall_s"].items()))
     with open(args.output, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
