@@ -124,8 +124,15 @@ def _cmd_km_validate(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(kind: str, bound: int) -> None:
+    """Refuse a bound below 1, as the command's output schema refuses it."""
+    if bound < 1:
+        raise InvalidBound(f"{kind} bound must be at least 1, not {bound}")
+
+
 def _cmd_km_roots(args) -> int:
     rgs = _rgs_from_args(args)
+    _at_least_one("height", args.height)
     roots = enumerate_real_roots(rgs, args.height)
     _emit(
         {
@@ -155,6 +162,7 @@ def _cmd_km_weyl(args) -> int:
 def _cmd_km_cone(args) -> int:
     rgs = _rgs_from_args(args)
     point = _parse_vector(args.point)
+    _at_least_one("step", args.steps)
     location = tits_membership(rgs, point, step_bound=args.steps)
     _emit(
         {
@@ -246,7 +254,9 @@ def _cmd_path_fold(args) -> int:
 def _cmd_path_random(args) -> int:
     rgs = _rgs_from_args(args)
     height = _height_bound(args, {})
-    if args.a and args.b:
+    if bool(args.a) != bool(args.b):
+        raise _CliError("BadArgument", "--a and --b go together: give both endpoints or neither")
+    if args.a:
         a, b = _parse_vector(args.a), _parse_vector(args.b)
     else:
         # descend from the sum of the coroots so crossings fold legally

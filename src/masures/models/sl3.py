@@ -14,26 +14,30 @@ group W^v x Q^vee rather than its type-rotating extension.
 Apartment coordinates live in the realization of the A2 matrix; a point x
 has alpha_1(x) = lam1 - lam2 and alpha_2(x) = lam2 - lam3, both integers
 exactly at the special points.  A point keeps the apartment it was charted
-through and its alpha-values (a, b); non-special points are barycenters of
-the corners of their alcove, and those corners, each with the coweight
-lam of its lattice class and its barycentric weight, are built only when
-membership or equality reads them.
+through and its alpha-values (a, b), and is read once, at its coweight
+lam = (a + b, b, 0) times the common denominator s of a and b.
 
-Membership and retraction are read exactly off valuations of minors of
-polynomial matrices, with no division.  A corner class L = g . diag(t^-lam)
-lies in the apartment of h iff the lattice of N = adj(h) . g . diag(t^-lam)
-is diagonal, that is iff the row minima of the entry valuations of N sum
-to val(det N); those row minima then give the class's coordinates in h.
+Readings are exact valuations of minors of polynomial matrices, with no
+division.  With v_ij and d the valuations of the relative frame adj(h) . g,
+let F(lam) = sum_i min_j (v_ij - lam_j) - (d - sum lam).  Then F <= 0, and
+at an integer lam, F = 0 exactly when the class g . diag(t^-lam) lies in
+the apartment of h, whose coordinates there are the row minima d(lam).
+A row's argmin changes only where some lam_j - lam_k is an integer, on a
+wall, so one argmin per row serves a whole closed face, and F and d(lam)
+are affine there.  Hence F = 0 at a point exactly when F = 0 at every
+corner of its face, and d at the point is the barycenter of d at the
+corners: membership and coordinates are read at s . lam, with the
+valuations times s.  The corners' images form a face with the same
+weights: on an alcove, F = 0 throughout makes the argmins a permutation,
+so d is an affine Weyl element there, and on an edge, whose direction is
++-e_k modulo (1, 1, 1), exactly one row moves, so its image is a unit edge.
+
 Triangularizing a matrix over F_q[[t]] in the row order (r0, r1, r2) gives
 pivot exponents whose partial sums are the least valuations of its minors
 on rows {r0}, {r0, r1} and all three rows; order (0,1,2) reads off the
-retraction from minus infinity and (2,1,0) that from plus infinity.
-Those least valuations are minima of integer-affine functions of lam that
-break only where some lam_j - lam_k is an integer, that is on walls, so
-the retraction is affine on each alcove and is read once at the point's
-own rational coweight lam = (a + b, b, 0), scaled to integers by the
-common denominator of a and b.  Frames are exact Laurent polynomials, so
-each of these numbers is exact.
+retraction from minus infinity and (2,1,0) that from plus infinity.  They
+too are minima of integer-affine functions of lam that break only on
+walls, so the retraction is read at the same scaled coweight.
 
 A frame keeps its adjugate and its determinant valuation, which every
 membership and retraction reading uses.  Random frames are products of
@@ -251,27 +255,16 @@ def _valuations(A: Matrix) -> tuple[tuple, ...]:
 class SL3Point:
     """Point of one apartment's chart, kept as its alpha-values (a, b).
 
-    `corners` are the (lam, weight) pairs of its alcove's corners, each
-    standing for the class of frame . diag(t^-lam), built on first read.
     Two points are equal when the membership reading of one in the other's
     apartment gives the other's own alpha-values; a point hashes as its
     retraction from minus infinity.
     """
 
-    __slots__ = ("apartment", "alpha", "_corners")
+    __slots__ = ("apartment", "alpha")
 
     def __init__(self, apartment: SL3Apartment, alpha: tuple[Q, Q]):
         self.apartment = apartment
         self.alpha = alpha
-        self._corners = None
-
-    @property
-    def corners(self) -> tuple:
-        if self._corners is None:
-            self._corners = tuple(
-                ((ca + cb, cb, 0), w) for ca, cb, w in _alcove_corners(*self.alpha)
-            )
-        return self._corners
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SL3Point):
@@ -279,7 +272,7 @@ class SL3Point:
         g, h = self.apartment, other.apartment
         if g.matrix[0][0].field != h.matrix[0][0].field:
             return False
-        return _membership(*_relative_frame(h, g), self.corners) == other.alpha
+        return _membership(*_relative_frame(h, g), self.alpha) == other.alpha
 
     def __hash__(self) -> int:
         return hash(_retraction(self, (0, 1, 2)))
@@ -344,14 +337,18 @@ def _pivots(
     return tuple(d)
 
 
-def _diagonal_exponents(vals, det_val: int, lam: Sequence[int]) -> list[int] | None:
+def _diagonal_exponents(
+    vals, det_val: int, lam: Sequence[int], scale: int = 1
+) -> list[int] | None:
     """Exponents e with P . diag(t^-lam) O^3 = diag(t^e) O^3, or None when
     that lattice is not diagonal; `vals` and `det_val` are the entry and
     determinant valuations of P.  The lattice lies in the diagonal lattice
     of its row minima with index val det minus their sum, so it is
-    diagonal exactly when that index is zero."""
-    d = [min(v - e for v, e in zip(row, lam)) for row in vals]
-    return d if sum(d) == det_val - sum(lam) else None
+    diagonal exactly when that index is zero.  As in `_pivots`, with the
+    valuations times `scale` this reads `scale` times the exponents at
+    lam / scale."""
+    d = [min(scale * v - e for v, e in zip(row, lam)) for row in vals]
+    return d if sum(d) == scale * det_val - sum(lam) else None
 
 
 def _relative_frame(h: SL3Apartment, g: SL3Apartment):
@@ -360,61 +357,33 @@ def _relative_frame(h: SL3Apartment, g: SL3Apartment):
     return _valuations(_matmul(h._adj, g.matrix)), 2 * h._det_val + g._det_val
 
 
-def _barycenter(weighted) -> tuple[Q, Q]:
-    """Alpha-values (a, b) of the barycenter of the classes diag(t^e),
-    given as (e, weight) pairs; such a class has coweight -e."""
-    a = Q(0)
-    b = Q(0)
-    for e, w in weighted:
-        a += w * (e[1] - e[0])
-        b += w * (e[2] - e[1])
-    return a, b
+def _coweight(alpha: tuple[Q, Q]) -> tuple[int, tuple[int, int, int]]:
+    """The common denominator s of the alpha-values (a, b) and the integer
+    coweight s . (a + b, b, 0)."""
+    a, b = alpha
+    s = math.lcm(a.denominator, b.denominator)
+    a_n = a.numerator * (s // a.denominator)
+    b_n = b.numerator * (s // b.denominator)
+    return s, (a_n + b_n, b_n, 0)
 
 
-def _membership(vals, det_val: int, corners) -> tuple[Q, Q] | None:
-    """Alpha-values in the chart of h of the point made of `corners` of the
-    chart of g, or None when h does not contain it; `vals` and `det_val`
-    are those of the relative frame adj(h) . g."""
-    weighted = []
-    for lam, w in corners:
-        d = _diagonal_exponents(vals, det_val, lam)
-        if d is None:
-            return None
-        weighted.append((d, w))
-    a, b = _barycenter(weighted)
-    # the corners of (a, b)'s alcove in this chart must be exactly the
-    # classes the point is made of, with the same weights
-    got = sorted((d[1] - d[0], d[2] - d[1], w) for d, w in weighted)
-    return (a, b) if sorted(_alcove_corners(a, b)) == got else None
+def _membership(vals, det_val: int, alpha: tuple[Q, Q]) -> tuple[Q, Q] | None:
+    """Alpha-values in the chart of h of the point with alpha-values
+    `alpha` in the chart of g, or None when h does not contain it; `vals`
+    and `det_val` are those of the relative frame adj(h) . g."""
+    s, lam = _coweight(alpha)
+    d = _diagonal_exponents(vals, det_val, lam, s)
+    return None if d is None else (Q(d[1] - d[0], s), Q(d[2] - d[1], s))
 
 
 def _retraction(point: SL3Point, row_order: Sequence[int]) -> Vector:
     """Realization coordinates of the point's retraction, from minus
-    infinity for row order (0, 1, 2) and from plus infinity for (2, 1, 0).
-    The pivots are affine on each alcove, so their barycenter over the
-    corners is their reading at the point's own coweight (a + b, b, 0),
-    taken in integers times the common denominator of a and b."""
-    a, b = point.alpha
-    scale = math.lcm(a.denominator, b.denominator)
-    a_n = a.numerator * (scale // a.denominator)
-    b_n = b.numerator * (scale // b.denominator)
-    e0, e1, e2 = _pivots(point.apartment, (a_n + b_n, b_n, 0), row_order, scale)
+    infinity for row order (0, 1, 2) and from plus infinity for (2, 1, 0),
+    read at the point's scaled coweight."""
+    s, lam = _coweight(point.alpha)
+    e0, e1, e2 = _pivots(point.apartment, lam, row_order, s)
     # the class diag(t^e) has coweight -e, so alpha-values (e1 - e0, e2 - e1)
-    return _from_alpha(e1 - e0, e2 - e1, scale)
-
-
-def _alcove_corners(a: Q, b: Q) -> list[tuple[int, int, Q]]:
-    """Corners (integer alpha-values) and barycentric weights of the alcove
-    containing the point with alpha-values (a, b); zero weights dropped."""
-    m1 = a.numerator // a.denominator
-    m2 = b.numerator // b.denominator
-    f = a - m1
-    g = b - m2
-    if f + g <= 1:
-        raw = [(m1, m2, 1 - f - g), (m1 + 1, m2, f), (m1, m2 + 1, g)]
-    else:
-        raw = [(m1 + 1, m2, 1 - g), (m1, m2 + 1, 1 - f), (m1 + 1, m2 + 1, f + g - 1)]
-    return [(ca, cb, w) for ca, cb, w in raw if w > 0]
+    return _from_alpha(e1 - e0, e2 - e1, s)
 
 
 def _from_alpha(a, b, scale: int = 1) -> Vector:
@@ -480,7 +449,7 @@ class SL3Model(MasureModel):
         return memo[2], memo[3]
 
     def apartment_coords(self, apartment: SL3Apartment, point: SL3Point) -> Vector | None:
-        reading = _membership(*self._relative(apartment, point.apartment), point.corners)
+        reading = _membership(*self._relative(apartment, point.apartment), point.alpha)
         return None if reading is None else _from_alpha(*reading)
 
     def point_retract(self, point: SL3Point, germ) -> Vector:
@@ -492,13 +461,11 @@ class SL3Model(MasureModel):
     def window_coords(
         self, first: SL3Apartment, second: SL3Apartment, window_radius: int, points
     ) -> list[Vector | None]:
-        # The special point with alpha-values (a, b) charts to the single
-        # corner lam = (a + b, b, 0) of weight 1, so its membership is one
-        # diagonal reading of the relative frame, and its alpha-values in
-        # `second` are (d1 - d0, d2 - d1).  `_membership`'s comparison with
-        # the alcove corners of that reading is an identity for one integer
-        # corner of weight 1, so skipping it here weakens nothing.  `points`
-        # are `_window(window_radius)[0]`; their alpha-values are read instead.
+        # The special point with alpha-values (a, b) has the integer
+        # coweight lam = (a + b, b, 0), so its membership is one diagonal
+        # reading of the relative frame at scale 1, and its alpha-values in
+        # `second` are (d1 - d0, d2 - d1).  `points` are
+        # `_window(window_radius)[0]`; their alpha-values are read instead.
         vals, det_val = self._relative(second, first)
         out = []
         for a, b in _window(window_radius)[1]:
@@ -507,14 +474,14 @@ class SL3Model(MasureModel):
         return out
 
     def intersection(self, first: SL3Apartment, second: SL3Apartment) -> EnclosedSet:
-        # `_diagonal_exponents` accepts the corner lam iff sum_i min_j
+        # `_diagonal_exponents` accepts the integer lam iff sum_i min_j
         # (v_ij - lam_j) = d - sum lam, whose left side never exceeds the
         # right: iff sum_i (v_{i j_i} - lam_{j_i}) + sum lam >= d for every
         # choice of columns (j_0, j_1, j_2).  Using each column once gives a
         # constant; column k twice and m never, D(lam_m - lam_k, sum - d);
-        # one column thrice, nothing more (the tests pin this).  A point
-        # lies in `second` iff its alcove's corners do, so the halves, at
-        # integer levels, cut out the points as they cut out the corners.
+        # one column thrice, nothing more (the tests pin this).  The same
+        # inequalities, times s, decide a point read at its coweight scaled
+        # by s, so the halves cut out every point, not only special ones.
         if self.same_apartment(first, second):
             return whole_apartment(self._rgs)
         vals, det_val = self._relative(second, first)

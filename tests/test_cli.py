@@ -128,7 +128,14 @@ class TestKm:
         validate(doc, "weyl.json")
 
     @pytest.mark.parametrize(
-        "argv", [["km", "roots", "--height", "-1"], ["km", "weyl", "--length", "-1"]]
+        "argv",
+        [
+            ["km", "roots", "--height", "-1"],
+            ["km", "weyl", "--length", "-1"],
+            ["km", "roots", "--height", "0"],
+            ["km", "cone", "--point", "1,0", "--steps", "0"],
+            ["km", "cone", "--point", "1,0", "--steps", "-1"],
+        ],
     )
     def test_negative_bound_is_a_usage_error(self, capsys, argv):
         code, doc = run(capsys, argv)
@@ -167,6 +174,15 @@ class TestPath:
         assert code == EXIT_OK
         assert report["verdict"] == "PASS"
         validate(report, "growth_report.json")
+
+    @pytest.mark.parametrize("endpoint", ["--a", "--b"])
+    def test_lone_endpoint_is_a_usage_error(self, capsys, endpoint):
+        """One endpoint without the other is refused, not dropped in favour
+        of the default segment."""
+        code, doc = run(capsys, ["path", "random", "--seed", "6", endpoint, "1,1"])
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "BadArgument"
+        validate(doc, "error.json")
 
     def test_random_is_deterministic(self, capsys):
         first = main(["path", "random", "--seed", "9"])

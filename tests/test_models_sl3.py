@@ -22,10 +22,10 @@ from masures.apartment import (
     plus_infinity,
     whole_apartment,
 )
-from masures.cli import derive_seed, run_campaign
+from masures.cli import _retraction_trial, derive_seed, run_campaign
 from masures.errors import InvalidWindow, MasureError, PrecisionExhausted, UnsupportedGerm
 from masures.fourier_motzkin import feasible
-from masures.heckepath import PASS, verify_growth
+from masures.heckepath import FAIL, PASS, verify_growth
 from masures.kmcore import enumerate_real_roots, simple_root, weyl_ball_complete, weyl_word
 from masures.models import (
     MasureModel,
@@ -37,7 +37,9 @@ from masures.models import (
     retract_segment,
 )
 from masures.models import laurent as L
+from masures.models import sl3
 from masures.models.sl3 import (
+    SL3Point,
     _adjugate,
     _det,
     _diagonal_exponents,
@@ -80,15 +82,53 @@ def same_class(A, B):
     return rest == 0 and same_lattice(A, _matmul(B, _diag(field, (shift, shift, shift))))
 
 
+def alcove_corners(a, b):
+    """Corners (integer alpha-values) and barycentric weights of the alcove
+    containing the point with alpha-values (a, b); zero weights dropped,
+    so these are the corners of the point's face."""
+    m1 = a.numerator // a.denominator
+    m2 = b.numerator // b.denominator
+    f = a - m1
+    g = b - m2
+    if f + g <= 1:
+        raw = [(m1, m2, 1 - f - g), (m1 + 1, m2, f), (m1, m2 + 1, g)]
+    else:
+        raw = [(m1 + 1, m2, 1 - g), (m1, m2 + 1, 1 - f), (m1 + 1, m2 + 1, f + g - 1)]
+    return [(ca, cb, w) for ca, cb, w in raw if w > 0]
+
+
+def corners(point):
+    """The (lam, weight) pairs of the corners of the point's face, each
+    standing for the class of frame . diag(t^-lam)."""
+    return tuple(((ca + cb, cb, 0), w) for ca, cb, w in alcove_corners(*point.alpha))
+
+
+def corner_membership(vals, det_val, point):
+    """The point's alpha-values in the chart of h read corner by corner, or
+    None: one diagonal reading of the relative frame adj(h) . g (valuations
+    `vals`, `det_val`) per corner of the point's face, their barycenter,
+    and the check that the corners' images are exactly the corners of the
+    barycenter's face, with the same weights."""
+    images = []
+    for lam, w in corners(point):
+        d = _diagonal_exponents(vals, det_val, lam)
+        if d is None:
+            return None
+        images.append((d[1] - d[0], d[2] - d[1], w))
+    a = sum(w * x for x, _, w in images)
+    b = sum(w * y for _, y, w in images)
+    return (a, b) if sorted(alcove_corners(a, b)) == sorted(images) else None
+
+
 def same_point(p, q):
     """The same corner classes with the same weights; the corners of one
     point are distinct classes, so this pairs them off one to one."""
-    def corners(point):
+    def classes(point):
         g = point.apartment.matrix
         field = g[0][0].field
-        return [(_matmul(g, _diag(field, [-e for e in lam])), w) for lam, w in point.corners]
+        return [(_matmul(g, _diag(field, [-e for e in lam])), w) for lam, w in corners(point)]
 
-    mine, theirs = corners(p), corners(q)
+    mine, theirs = classes(p), classes(q)
     return len(mine) == len(theirs) and all(
         any(w == v and same_class(M, N) for N, v in theirs) for M, w in mine
     )
@@ -328,7 +368,7 @@ class TestPointEquality:
                         unequal += 1
                         continue
                     assert hash(p) == hash(r)
-                    if len(p.corners) == 1:
+                    if len(corners(p)) == 1:
                         equal_specials += 1
                     else:
                         equal_barycenters += 1
@@ -582,7 +622,7 @@ def oracle_retraction(point, germ_sign):
     averaged with the corners' weights; realization coordinates."""
     order = (0, 1, 2) if germ_sign < 0 else (2, 1, 0)
     a = b = Q(0)
-    for lam, w in point.corners:
+    for lam, w in corners(point):
         e = _triangular_pivots(point.apartment, lam, order)
         a += w * (e[1] - e[0])
         b += w * (e[2] - e[1])
@@ -633,11 +673,11 @@ class TestClosedFormRetraction:
         for complexity in range(5):
             for _ in range(1 if q == 9 else 2):
                 ap = model.random_apartment(rng.getrandbits(48), complexity)
-                for (a, b), corners in _placed_points(rng):
+                for (a, b), count in _placed_points(rng):
                     p = model.chart(ap, _from_alpha(a, b))
                     assert p.alpha == (a, b)
-                    assert len(p.corners) == corners
-                    assert sum(w for _, w in p.corners) == 1
+                    assert len(corners(p)) == count
+                    assert sum(w for _, w in corners(p)) == 1
                     for germ, sign in germs:
                         got = model.point_retract(p, germ)
                         assert got == oracle_retraction(p, sign)
@@ -682,8 +722,68 @@ class TestClosedFormRetraction:
                 p2 = model.chart(second, y)
                 assert p == p2 and p2 == p
                 assert hash(p) == hash(p2)
-                shared += len(p.corners) > 1
+                shared += len(corners(p)) > 1
         assert shared
+
+
+def _partner(model, rng, g, kind):
+    """An apartment to read the points of g in: a random one; g moved by
+    an elementary x_ij(t^k), which shares a half-apartment with g; or the
+    apartment of g itself through another frame, permuted and translated."""
+    field = model.field
+    if kind == "random":
+        return model.random_apartment(rng.getrandbits(48), rng.randrange(7))
+    if kind == "half":
+        i, j = rng.sample(range(3), 2)
+        u = L.monomial(field, rng.randint(-3, 3))
+        return SL3Apartment(_matmul(g.matrix, elementary(field, i, j, u)))
+    perm = list(range(3))
+    rng.shuffle(perm)
+    d = [rng.randint(-3, 3) for _ in range(3)]
+    d[2] -= sum(d) % 3
+    return SL3Apartment(_matmul(g.matrix, _matmul(permutation(field, perm), _diag(field, d))))
+
+
+class TestSingleReading:
+    """Membership, coordinates in another chart and equality read once at
+    the point's scaled coweight agree with the corner-by-corner reading
+    (`corner_membership`): for each field 84 apartment pairs, complexity
+    0-6, in equal shares random, sharing a half-apartment and equal, and
+    60 points of `_placed_points` each, denominators 1-12, so 5040 points
+    per field.  Equality is compared both ways round with the oracle's
+    reading; `_relative_frame` is memoized for the test, since
+    `SL3Point.__eq__` builds the relative frame on every call."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_matches_the_corner_reading(self, q, monkeypatch):
+        monkeypatch.setattr(sl3, "_relative_frame", functools.lru_cache(maxsize=2)(_relative_frame))
+        model = SL3Model(q=q)
+        rng = random.Random(2500 + q)
+        points = members = non_special = 0
+        for complexity in range(7):
+            for kind in ("random", "half", "same") * 4:
+                g = model.random_apartment(rng.getrandbits(48), complexity)
+                h = _partner(model, rng, g, kind)
+                vals, det_val = _relative_frame(h, g)
+                for _ in range(4):
+                    for (a, b), _count in _placed_points(rng):
+                        p = SL3Point(g, (a, b))
+                        want = corner_membership(vals, det_val, p)
+                        got = model.apartment_coords(h, p)
+                        assert got == (None if want is None else _from_alpha(*want))
+                        if want is None:
+                            others = [(a, b)]
+                        else:
+                            others = [want, (want[0] + Q(1, 12), want[1])]
+                            members += 1
+                            non_special += len(corners(p)) > 1
+                        for alpha in others:
+                            r = SL3Point(h, alpha)
+                            assert (p == r) == (r == p) == (want == alpha)
+                        points += 1
+        assert points == 5040
+        # the same-apartment pairs alone make a third of the points members
+        assert non_special >= 1250 and points - members >= 500
 
 
 # -- apartment intersections ------------------------------------------------------------
@@ -926,3 +1026,84 @@ class TestExactIntersection:
         assert certificates["empty"] is False
         assert certificates["fitted"]["halves"] == [{"root": [0, -1], "level": -8}]
         assert not any("empty" in c["detail"] for c in ma2["checks"])
+
+
+# -- planted faults ----------------------------------------------------------------------
+
+
+def _checks(report):
+    return {c.name: (c.verdict, c.detail) for c in report.checks}
+
+
+PLANTED_PAIRS = [(STD, SL3Apartment(_unipotent(0))), _campaign_pair(MODEL, 13, index=17)]
+
+
+class TestPlantedModels:
+    """Models with one planted fault, driven through `check_MA2` and
+    `cli._retraction_trial` directly (`run_campaign` builds its own
+    model): exactly the check the fault breaks FAILs."""
+
+    @pytest.mark.parametrize("first, second", PLANTED_PAIRS)
+    def test_misread_member_fails_the_fit_alone(self, first, second):
+        """Reading the window's last member as a non-member: that point is
+        a vertex of the members' hull, so no convexity witness appears,
+        and the other members still have their intertwiner."""
+
+        class Misread(SL3Model):
+            def window_coords(self, first, second, window_radius, points):
+                out = super().window_coords(first, second, window_radius, points)
+                last = max(i for i, y in enumerate(out) if y is not None)
+                self.misread = points[last]
+                out[last] = None
+                return out
+
+        model = Misread(q=2)
+        checks = _checks(check_MA2(model, first, second, 6))
+        assert checks["enclosure-fit"] == (FAIL, f"non-member {model.misread!r} inside the fitted set")
+        assert checks["convexity"][0] == checks["intertwiner"][0] == PASS
+
+    @pytest.mark.parametrize("first, second", PLANTED_PAIRS)
+    def test_dropped_half_fails_the_fit_alone(self, first, second):
+        """An intersection without its first half holds non-members; the
+        fit names the first of them, and the members keep their convex
+        hull and their intertwiner.  Window 3 keeps the convexity search
+        over the uncovered non-members short."""
+
+        class Loosened(SL3Model):
+            def intersection(self, first, second):
+                exact = super().intersection(first, second)
+                return EnclosedSet(self.rgs, exact.halves[1:], truncated_at=exact.truncated_at)
+
+        report = check_MA2(Loosened(q=2), first, second, 3)
+        checks = _checks(report)
+        verdict, detail = checks["enclosure-fit"]
+        assert verdict == FAIL and detail.startswith("non-member (")
+        point = next(x for x in MODEL.special_points(3) if detail == f"non-member {x!r} inside the fitted set")
+        assert report.certificate("fitted").contains(point)
+        assert not MODEL.intersection(first, second).contains(point)
+        assert MODEL.apartment_coords(second, MODEL.chart(first, point)) is None
+        assert checks["convexity"][0] == checks["intertwiner"][0] == PASS
+
+    def test_swapped_germs_fail_growth_alone(self):
+        """Retracting from the opposite germ: over the first 100 trials of
+        the campaign with seed 3 (q = 2, complexity 2, window 6) some
+        retracted segment is no Hecke path for its germ, and no other
+        check FAILs."""
+
+        class Swapped(SL3Model):
+            def point_retract(self, point, germ):
+                minus, plus = minus_infinity(self.rgs), plus_infinity(self.rgs)
+                return super().point_retract(point, plus if germ == minus else minus)
+
+        model = Swapped(q=2)
+        config = {"window_radius": 6, "height_bound": 2, "length_bound": 3}
+        growth = 0
+        for index in range(100):
+            rng = random.Random(derive_seed(3, index))
+            first = model.random_apartment(rng.getrandbits(48), rng.randrange(3))
+            second = model.random_apartment(rng.getrandbits(48), rng.randrange(3))
+            assert check_MA2(model, first, second, 6).verdict == PASS
+            trial = _retraction_trial(model, rng, first, config)
+            assert trial["separation"] == PASS
+            growth += trial["growth"] == FAIL
+        assert growth
