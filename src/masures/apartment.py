@@ -27,6 +27,7 @@ from . import linalg
 from .errors import DegenerateSegment, DimensionMismatch, EmptyInput, NotARealRoot
 from .fourier_motzkin import Constraint
 from .fourier_motzkin import feasible as _feasible_system
+from .fourier_motzkin import is_feasible
 from .kmcore import (
     Root,
     RootGeneratingSystem,
@@ -198,7 +199,7 @@ class EnclosedSet:
                 tightest[key] = h
         kept = sorted(tightest.values(), key=lambda h: (h.root.coords, h.level))
 
-        if _feasible_system([h.constraint() for h in kept], self.dim) is None:
+        if not is_feasible([h.constraint() for h in kept], self.dim):
             self._empty = True
             self.halves: tuple[HalfApartment, ...] = ()
             return
@@ -208,7 +209,7 @@ class EnclosedSet:
         while i < len(kept):
             others = kept[:i] + kept[i + 1 :]
             system = [o.constraint() for o in others] + [kept[i].complement().constraint()]
-            if _feasible_system(system, self.dim) is None:
+            if not is_feasible(system, self.dim):
                 kept.pop(i)
             else:
                 i += 1
@@ -247,7 +248,7 @@ class EnclosedSet:
             return False
         base = other.constraints()
         for h in self.halves:
-            if _feasible_system(base + [h.complement().constraint()], self.dim) is not None:
+            if is_feasible(base + [h.complement().constraint()], self.dim):
                 return False
         return True
 
@@ -624,11 +625,15 @@ class SectorGerm:
         return all(rgs.root_value(i, u) >= 0 for i in range(rgs.size))
 
 
+@functools.lru_cache(maxsize=None)
 def plus_infinity(rgs: RootGeneratingSystem) -> SectorGerm:
+    """The germ of the fundamental chamber, built once per system."""
     return SectorGerm(weyl_identity(rgs), 1)
 
 
+@functools.lru_cache(maxsize=None)
 def minus_infinity(rgs: RootGeneratingSystem) -> SectorGerm:
+    """The germ of the opposite chamber, built once per system."""
     return SectorGerm(weyl_identity(rgs), -1)
 
 

@@ -444,8 +444,11 @@ def _cmd_verify_theorem(args) -> int:
     report = run_campaign(raw)
     output = raw.get("output")
     if output:
-        with open(output, "w") as f:
-            f.write(serialize.dumps(report))
+        try:
+            with open(output, "w") as f:
+                f.write(serialize.dumps(report))
+        except OSError as e:
+            raise _CliError("FileError", f"cannot write {output}: {e}") from e
     summary = dict(report["summary"])
     if output:
         summary["output"] = output

@@ -9,8 +9,10 @@ simplex implementation.
 Elimination runs over the integers.  Each constraint is scaled to an
 integer row (coeffs..., const) and divided by the gcd of its entries, so
 one half-space has one row and duplicates collapse; combining two rows
-keeps them integral.  `Fraction` arithmetic is left to the
-back-substitution that builds the witness.
+keeps them integral.  Feasibility is decided by the elimination alone
+(`is_feasible`), which is all that canonicalizing an enclosed set asks;
+`feasible` goes on to the back-substitution that builds a witness, the
+only place `Fraction` arithmetic appears.
 """
 
 from __future__ import annotations
@@ -53,8 +55,12 @@ def _bound(row: tuple[int, ...], k: int, denom: int, scaled: Sequence[int]) -> Q
     return Q(-rest, row[k] * denom)
 
 
-def feasible(constraints: Sequence[Constraint], dim: int) -> tuple[Q, ...] | None:
-    """An exact rational point satisfying every constraint, or None."""
+def _eliminate(
+    constraints: Sequence[Constraint], dim: int
+) -> tuple[list[tuple[int, list[Row], list[Row]]], bool]:
+    """Eliminate every variable, last first: returns each stage's var
+    with its rows positive and negative on it, and whether the rows left,
+    which involve no variable, all hold."""
     current: dict[Row, None] = {}
     for coeffs, const, strict in constraints:
         if len(coeffs) != dim:
@@ -75,7 +81,21 @@ def feasible(constraints: Sequence[Constraint], dim: int) -> tuple[Q, ...] | Non
 
     for row, strict in rows:
         if row[-1] < 0 or (strict and row[-1] == 0):
-            return None
+            return stages, False
+    return stages, True
+
+
+def is_feasible(constraints: Sequence[Constraint], dim: int) -> bool:
+    """Whether some point satisfies every constraint: `feasible(...) is
+    not None`, decided by the elimination alone."""
+    return _eliminate(constraints, dim)[1]
+
+
+def feasible(constraints: Sequence[Constraint], dim: int) -> tuple[Q, ...] | None:
+    """An exact rational point satisfying every constraint, or None."""
+    stages, ok = _eliminate(constraints, dim)
+    if not ok:
+        return None
 
     # rows of stage k vanish on the vars above k, and the vars below k are
     # already fixed when var k is chosen

@@ -93,8 +93,8 @@ class PLPath:
     """Piecewise-linear path on [0, 1], breakpoints with equal derivatives
     on both sides are merged away, so the representation is canonical.
 
-    `knots` holds the knots over the common denominator `denom`, as
-    integer tuples with the time first: knot i is `knots[i] / denom`.
+    `knots` holds the knots over their least common denominator `denom`,
+    as integer tuples with the time first: knot i is `knots[i] / denom`.
     `times` and `points` are the same knots as `Fraction`s; a path the
     folding scan builds from integers makes them on first read.
     """
@@ -109,20 +109,21 @@ class PLPath:
         dim = len(points[0])
         if any(len(p) != dim for p in points):
             raise DimensionMismatch("knot points of mixed dimensions")
-        self.denom, knots = linalg.clear_denominators([(t,) + p for t, p in zip(times, points)])
-        keep = _corners(self.denom, knots)
-        self.knots = tuple(knots[i] for i in keep)
+        denom, knots = linalg.clear_denominators([(t,) + p for t, p in zip(times, points)])
+        keep = _corners(denom, knots)
+        self.denom, self.knots = _lowest_terms(denom, [knots[i] for i in keep])
         self.times = tuple(times[i] for i in keep)
         self.points = tuple(points[i] for i in keep)
 
     @classmethod
     def _from_knots(cls, knots: Sequence[tuple[int, tuple[int, ...]]]) -> "PLPath":
         """The path through knots given as (d, (T, *P)) for time T / d and
-        point P / d, each over a denominator of its own."""
+        point P / d, each over a denominator of its own, in lowest terms
+        or not: the path is the one `PLPath(times, points)` builds."""
         path = object.__new__(cls)
-        path.denom = math.lcm(*(d for d, _ in knots))
-        ints = [tuple(x * (path.denom // d) for x in k) for d, k in knots]
-        path.knots = tuple(ints[i] for i in _corners(path.denom, ints))
+        denom = math.lcm(*(d for d, _ in knots))
+        ints = [tuple(x * (denom // d) for x in k) for d, k in knots]
+        path.denom, path.knots = _lowest_terms(denom, [ints[i] for i in _corners(denom, ints)])
         return path
 
     @functools.cached_property
@@ -207,6 +208,17 @@ def _corners(denom: int, knots: Sequence[tuple[int, ...]]) -> list[int]:
             keep.append(i)
     keep.append(len(knots) - 1)
     return keep
+
+
+def _lowest_terms(
+    denom: int, knots: list[tuple[int, ...]]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The kept knots over their least common denominator: `denom` and
+    every entry divided by their gcd."""
+    g = math.gcd(denom, *(x for k in knots for x in k))
+    if g == 1:
+        return denom, tuple(knots)
+    return denom // g, tuple(tuple(x // g for x in k) for k in knots)
 
 
 def derivatives(path: PLPath, t) -> tuple[Vector | None, Vector | None]:

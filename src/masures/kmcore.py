@@ -401,7 +401,11 @@ class Root:
         return linalg.dot(self.form, v)
 
     def negated(self) -> "Root":
-        # -(w . alpha_i) = (w r_i) . alpha_i
+        return self._negation
+
+    @functools.cached_property
+    def _negation(self) -> "Root":
+        # -(w . alpha_i) = (w r_i) . alpha_i; built once per root
         return Root(
             self.rgs,
             tuple(-c for c in self.coords),

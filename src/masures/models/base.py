@@ -20,12 +20,13 @@ Membership in the set compares integers m alpha(v) read off one root
 table per window (`apartment.root_table`, which each model keeps by
 window radius, `MasureModel.window_table`).  A model reads the window
 into the second apartment with `MasureModel.window_coords`, point by
-point unless it knows a faster reading (SL3 reads integer alpha-values).  The set's canonicalization
-eliminates over the integers (`fourier_motzkin`), and the intertwiner
-search tests each candidate on the hits and their images with
-denominators cleared.  `Fraction` arithmetic is left to each candidate's
-translation, the Fourier-Motzkin witness and the convexity witness.  A
-window radius below 1 raises InvalidWindow.
+point unless it knows a faster reading (SL3 reads integer alpha-values).
+The set's canonicalization only asks whether systems are feasible, which
+the integer elimination decides without building a witness point
+(`fourier_motzkin.is_feasible`), and the intertwiner search tests each
+candidate on the hits and their images with denominators cleared.
+`Fraction` arithmetic is left to each candidate's translation and the
+convexity witness.  A window radius below 1 raises InvalidWindow.
 """
 
 from __future__ import annotations

@@ -177,6 +177,7 @@ class TreeModel(MasureModel):
         self.q = q
         self._rgs = _tree_rgs()
         self._standard = TreeApartment(TreeEnd((0,), 1), TreeEnd((), 1))
+        self._alpha = simple_root(self._rgs, 0)
 
     @property
     def rgs(self) -> RootGeneratingSystem:
@@ -253,22 +254,32 @@ class TreeModel(MasureModel):
         change|: a retraction does not increase distances, so a piece whose
         image is as long as the piece is carried affinely, and a turn
         inside it would have made the image shorter.  A piece that is not
-        carried isometrically raises MasureError naming it."""
+        carried isometrically raises MasureError naming it.
+
+        The knots' coordinates and values are compared as integers over
+        one denominator d, and the path is built from them directly: knot
+        time (n - n0) / (n1 - n0) and value v / d, over d |n1 - n0|."""
         end = self._standard.minus if self._germ_sign(germ) < 0 else self._standard.plus
         (x0,), (x1,) = a, b
-        coords = [x0, x1]
+        xs = [x0, x1]
         turn = apartment.projection(end)
         if turn is not None and min(x0, x1) < turn < max(x0, x1):
-            coords.insert(1, Q(turn))
-        times = [(x - x0) / (x1 - x0) for x in coords]
-        values = [self.point_retract(self.chart(apartment, (x,)), germ) for x in coords]
-        for i in range(len(coords) - 1):
-            if abs(values[i + 1][0] - values[i][0]) != abs(coords[i + 1] - coords[i]):
+            xs.insert(1, turn)
+        values = [self.point_retract(self.chart(apartment, (x,)), germ)[0] for x in xs]
+        d = math.lcm(*(x.denominator for x in (*xs, *values)))
+        coords = [x.numerator * (d // x.denominator) for x in xs]
+        images = [v.numerator * (d // v.denominator) for v in values]
+        span = abs(coords[-1] - coords[0])
+        sign = 1 if coords[-1] > coords[0] else -1
+        for i in range(len(xs) - 1):
+            if abs(images[i + 1] - images[i]) != abs(coords[i + 1] - coords[i]):
+                t0, t1 = (Q(sign * (coords[j] - coords[0]), span) for j in (i, i + 1))
                 raise MasureError(
-                    f"retraction is not an isometry on ({times[i]}, {times[i + 1]}); "
-                    "missed turn"
+                    f"retraction is not an isometry on ({t0}, {t1}); missed turn"
                 )
-        return PLPath(times, values)
+        return PLPath._from_knots([
+            (d * span, (sign * (n - coords[0]) * d, v * span)) for n, v in zip(coords, images)
+        ])
 
     def special_points(self, window_radius: int) -> tuple[Vector, ...]:
         return tuple((Q(k),) for k in range(-window_radius, window_radius + 1))
@@ -294,7 +305,7 @@ class TreeModel(MasureModel):
                 spans += [pivot + sign * (least - pivot), pivot + sign * (reach - pivot)]
         if not spans:
             return empty_set(self._rgs)
-        alpha = simple_root(self._rgs, 0)
+        alpha = self._alpha
         halves = []
         if min(spans) > -math.inf:
             halves.append(HalfApartment(alpha, -min(spans)))

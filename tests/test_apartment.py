@@ -37,6 +37,7 @@ from masures.apartment import (
     whole_apartment,
 )
 from masures.errors import DegenerateSegment, EmptyInput
+from masures.fourier_motzkin import feasible
 from masures.kmcore import (
     default_realization,
     enumerate_real_roots,
@@ -170,6 +171,77 @@ class TestEnclosedSet:
         assert empty_set(A2).is_empty
         assert whole_apartment(A2).contains((Q(100), Q(-100)))
         assert whole_apartment(A2).halves == ()
+
+
+def witness_canonical(rgs, halves):
+    """`EnclosedSet`'s canonical form built through the witness-building
+    `feasible`: the tightest half per root, in sorted order, None for an
+    infeasible system, else the halves left after greedily dropping each
+    one the others imply."""
+    tightest = {}
+    for h in halves:
+        cur = tightest.get(h.root.coords)
+        if cur is None or (h.level, not h.strict) < (cur.level, not cur.strict):
+            tightest[h.root.coords] = h
+    kept = sorted(tightest.values(), key=lambda h: (h.root.coords, h.level))
+    if feasible([h.constraint() for h in kept], rgs.dim) is None:
+        return None
+    i = 0
+    while i < len(kept):
+        others = [o.constraint() for o in kept[:i] + kept[i + 1 :]]
+        if feasible(others + [kept[i].complement().constraint()], rgs.dim) is None:
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(kept)
+
+
+def witness_includes(outer, inner):
+    """`EnclosedSet.includes` through the witness-building `feasible`."""
+    if inner.is_empty:
+        return True
+    if outer.is_empty:
+        return False
+    return all(
+        feasible(inner.constraints() + [h.complement().constraint()], outer.dim) is None
+        for h in outer.halves
+    )
+
+
+class TestCanonicalFormOracle:
+    """Canonicalization and inclusion decide feasibility without building
+    a witness; the witness-building elimination is their reference."""
+
+    @pytest.mark.parametrize("model", [TreeModel(2), SL3Model(2)], ids=["tree", "sl3"])
+    def test_matches_the_witness_oracle(self, model):
+        """1000 seeded half-apartment sets per system, on the tree's two
+        roots and on every root of the saturated SL3 system, with levels
+        -3..3, strict halves, repeated directions and redundant halves."""
+        rgs = model.rgs
+        positive = positive_roots(rgs, model.root_height_bound)
+        roots = positive + tuple(r.negated() for r in positive)
+        rng = random.Random(len(roots))
+        seen = {"empty": 0, "strict": 0, "dropped": 0}
+        previous = whole_apartment(rgs)
+        for _ in range(1000):
+            halves = [
+                HalfApartment(rng.choice(roots), rng.randrange(-3, 4), rng.random() < 0.3)
+                for _ in range(rng.randrange(0, 7))
+            ]
+            if halves and rng.random() < 0.3:
+                h = rng.choice(halves)
+                halves.append(HalfApartment(h.root, h.level + rng.randrange(0, 3), h.strict))
+            got = EnclosedSet(rgs, halves)
+            want = witness_canonical(rgs, halves)
+            assert got.is_empty == (want is None)
+            assert got.halves == (want or ())
+            assert got.includes(previous) == witness_includes(got, previous)
+            assert previous.includes(got) == witness_includes(previous, got)
+            seen["empty"] += got.is_empty
+            seen["strict"] += any(h.strict for h in got.halves)
+            seen["dropped"] += len(got.halves) < len({h.root.coords for h in halves})
+            previous = got
+        assert min(seen.values()) > 100, seen
 
 
 GRID = tuple((Q(x), Q(y)) for x in range(-3, 4) for y in range(-3, 4))

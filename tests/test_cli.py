@@ -380,6 +380,20 @@ class TestVerifyTheorem:
         assert code == EXIT_USAGE
         assert doc["error"]["type"] == "BadConfig"
 
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_unwritable_output_is_a_file_error(self, capsys, tmp_path, where):
+        """An output that is a directory, or lies in one that does not
+        exist, is refused as a usage error naming the path, not reported
+        with the FAIL exit code."""
+        output = tmp_path if where == "directory" else tmp_path / "absent" / "report.json"
+        config = {"model": "tree", "trials": 1, "seed": 1, "output": str(output)}
+        f = write_json(tmp_path, "config.json", config)
+        code, doc = run(capsys, ["verify-theorem", "--config", f])
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "FileError"
+        assert str(output) in doc["error"]["message"]
+        validate(doc, "error.json")
+
     @pytest.mark.parametrize(
         "config, key",
         [

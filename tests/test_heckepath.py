@@ -9,6 +9,7 @@ verdict INCONCLUSIVE, not PASS or FAIL, when the search stops at height 1.
 
 import functools
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction as Q
@@ -116,6 +117,32 @@ class TestPLPath:
             PLPath((Q(0),), ((Q(0),),))
         with pytest.raises(IndexOutOfRange):
             PLPath.straight((Q(0),), (Q(1),)).value(Q(2))
+
+    def test_knots_not_in_lowest_terms(self):
+        """A path built from integer knots over denominators that share a
+        factor with every entry is the one built from their `Fraction`s,
+        down to its common denominator and integer knots; a knot merged
+        away leaves no factor of its denominator behind."""
+        path = PLPath._from_knots([(6, (0, 6)), (6, (6, 12))])
+        assert (path.denom, path.knots) == (1, ((0, 1), (1, 2)))
+        merged = PLPath((Q(0), Q(1, 3), Q(1)), ((Q(0),), (Q(1, 3),), (Q(1),)))
+        assert (merged.denom, merged.knots) == (1, ((0, 0), (1, 1)))
+        path = PLPath._from_knots([(1, (0, 0)), (3, (1, 1)), (1, (1, 1))])
+        assert (path.denom, path.knots) == (merged.denom, merged.knots)
+        rng = random.Random(26)
+        for _ in range(300):
+            dim = rng.randrange(1, 4)
+            count = rng.randrange(2, 6)
+            times = [Q(0)] + sorted({Q(rng.randrange(1, 12), 12) for _ in range(count - 2)}) + [Q(1)]
+            points = [tuple(Q(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(dim))
+                      for _ in times]
+            knots = []
+            for t, p in zip(times, points):
+                d = math.lcm(t.denominator, *(x.denominator for x in p)) * rng.randrange(1, 5)
+                knots.append((d, (int(t * d),) + tuple(int(x * d) for x in p)))
+            built, reference = PLPath._from_knots(knots), PLPath(times, points)
+            assert (built.denom, built.knots) == (reference.denom, reference.knots)
+            assert built == reference
 
 
 # -- folding ----------------------------------------------------------------------

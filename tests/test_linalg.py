@@ -1,5 +1,6 @@
 """Exact rational linear algebra and feasibility search."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from masures import linalg
 from masures.errors import DimensionMismatch
-from masures.fourier_motzkin import feasible
+from masures.fourier_motzkin import feasible, is_feasible
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
@@ -234,3 +235,33 @@ class TestIntegerElimination:
         rows = [((1, -2), 3, False), ((Q(-1, 2), Q(1)), Q(-3, 2), True), ((0, 0), 0, False)]
         as_fractions = [(tuple(map(Q, c)), Q(k), s) for c, k, s in rows]
         assert feasible(rows, 2) == feasible(as_fractions, 2) == fraction_feasible(rows, 2)
+
+    def test_decision_agrees_with_the_witness(self):
+        """`is_feasible` is `feasible(...) is not None` on 900 seeded
+        systems in dimensions 1-3, with strict rows, rows that are
+        positive multiples of others and rows with no variable."""
+        rng = random.Random(26)
+
+        def entry():
+            return Q(rng.randrange(-4, 5), rng.randrange(1, 4)) if rng.random() < 0.8 else Q(0)
+
+        verdicts = {True: 0, False: 0}
+        for i in range(900):
+            dim = 1 + i % 3
+            rows = []
+            for _ in range(rng.randrange(0, 7)):
+                coeffs = tuple(entry() for _ in range(dim))
+                if rng.random() < 0.1:
+                    coeffs = (Q(0),) * dim
+                rows.append((coeffs, entry(), rng.random() < 0.4))
+                if rng.random() < 0.2:
+                    factor = Q(rng.randrange(1, 4), rng.randrange(1, 4))
+                    rows.append((tuple(factor * c for c in coeffs), factor * rows[-1][1], rows[-1][2]))
+            decided = is_feasible(rows, dim)
+            assert decided == (feasible(rows, dim) is not None), rows
+            verdicts[decided] += 1
+        assert min(verdicts.values()) > 200
+
+    def test_decision_checks_arity(self):
+        with pytest.raises(DimensionMismatch):
+            is_feasible([((Q(1), Q(2)), Q(0), False)], 1)

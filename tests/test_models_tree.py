@@ -22,6 +22,7 @@ from masures.apartment import (
     plus_infinity,
     whole_apartment,
 )
+from masures.cli import _fill_config, _retraction_trial, derive_seed
 from masures.errors import DegenerateSegment, InvalidWindow, MasureError, UnsupportedGerm
 from masures.heckepath import FAIL, PASS, PLPath
 from masures.kmcore import default_realization, simple_root, validate_matrix, weyl_word
@@ -339,6 +340,33 @@ class TestRetractions:
                 assert minus != plus
         assert coincided > 10 and left > 10
 
+    def test_planted_severed_edges_fail_separation_alone(self):
+        """A model that reads no point of the standard apartment off its
+        vertices: the window holds vertices only and the retractions are
+        untouched, so MA2 and `growth` PASS on every one of the first 200
+        trials of the campaign with seed 3, while a segment whose two
+        retractions coincide is read as leaving the standard apartment
+        between its knots, which FAILs `separation`."""
+
+        class Severed(TreeModel):
+            def apartment_coords(self, apartment, point):
+                if apartment == self.standard_apartment() and not point.is_vertex:
+                    return None
+                return super().apartment_coords(apartment, point)
+
+        config, _ = _fill_config({"model": "tree", "trials": 200, "seed": 3})
+        model = Severed(q=config["q"])
+        separation = 0
+        for index in range(config["trials"]):
+            rng = random.Random(derive_seed(config["seed"], index))
+            first = model.random_apartment(rng.getrandbits(48), rng.randrange(config["complexity"] + 1))
+            second = model.random_apartment(rng.getrandbits(48), rng.randrange(config["complexity"] + 1))
+            assert check_MA2(model, first, second, config["window_radius"]).verdict == PASS
+            trial = _retraction_trial(model, rng, first, config)
+            assert trial["growth"] == PASS
+            separation += trial["separation"] == FAIL
+        assert separation == 96
+
 
 class TestClosedFormRetraction:
     """`TreeModel.retract_path` reads the turn off the end words; the
@@ -394,7 +422,9 @@ class TestClosedFormRetraction:
                 if a == b:
                     continue
                 path = model.retract_path(ap, (a,), (b,), germ, 1)
-                assert path == MasureModel.retract_path(model, ap, (a,), (b,), germ, 1)
+                loop = MasureModel.retract_path(model, ap, (a,), (b,), germ, 1)
+                assert path == loop
+                assert (path.denom, path.knots) == (loop.denom, loop.knots)
                 turned += len(path.times) == 3
                 at_turn += turn in (a, b)
                 done += 1
